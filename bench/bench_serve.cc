@@ -248,11 +248,15 @@ void ComposeNext(ConnState* c, std::size_t conn_index, const Options& opt,
   c->is_update = IsUpdateSlot(conn_index, k, opt.update_fraction);
   c->outpos = 0;
   c->awaiting = true;
-  c->t_send = NowSeconds();
+  const double now = NowSeconds();
   if (retry) {
+    // t_send keeps the first send: a shed request's latency includes its
+    // BUSY round trips and backoff, not only the retry that succeeded.
     c->backoff_s =
         c->backoff_s == 0 ? 0.0005 : std::min(c->backoff_s * 2, 0.016);
-    c->retry_at = c->t_send + c->backoff_s;
+    c->retry_at = now + c->backoff_s;
+  } else {
+    c->t_send = now;
   }
 }
 
@@ -355,7 +359,11 @@ int Run(const Options& opt) {
   totals.latencies_us.reserve(opt.connections *
                               (opt.queries_per_conn - opt.warmup));
   const double bench_start = NowSeconds();
-  double measure_start = 0;  // first post-warmup completion window
+  // The measured window opens once every connection is past its warmup,
+  // so the qps window never includes a connection still warming up.
+  std::size_t warmed = opt.warmup == 0 ? conns.size() : 0;
+  double measure_start = warmed == conns.size() ? bench_start : 0;
+  std::size_t measured_ops = 0;  // completions inside the measured window
 
   // Prime every connection with its first query.
   for (std::size_t i = 0; i < conns.size(); ++i) {
@@ -384,7 +392,6 @@ int Run(const Options& opt) {
       }
       if (c.retry_at != 0) {  // backoff elapsed: send the retry now
         c.retry_at = 0;
-        c.t_send = now;
         if (!FlushWrites(&c)) {
           std::fprintf(stderr,
                        "bench_serve: connection %zu broke on retry\n", i);
@@ -464,10 +471,14 @@ int Run(const Options& opt) {
           totals.rows += reply.rows.size();
           if (c.is_update) ++totals.updates;
           if (c.completed >= opt.warmup) {
-            if (measure_start == 0) measure_start = NowSeconds();
             totals.latencies_us.push_back(elapsed_us);
           }
+          if (measure_start > 0) ++measured_ops;
           ++c.completed;
+        }
+        if (!c.awaiting && c.completed == opt.warmup &&
+            ++warmed == conns.size()) {
+          measure_start = NowSeconds();
         }
         if (!c.awaiting && c.completed < opt.queries_per_conn) {
           ComposeNext(&c, i, opt, /*retry=*/false);
@@ -515,8 +526,7 @@ int Run(const Options& opt) {
       measure_start > 0 ? bench_end - measure_start : 0;
   const double qps =
       measured_seconds > 0
-          ? static_cast<double>(totals.latencies_us.size()) /
-                measured_seconds
+          ? static_cast<double>(measured_ops) / measured_seconds
           : 0;
 
   std::printf(

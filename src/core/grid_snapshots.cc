@@ -123,10 +123,12 @@ Status TwoLayerGrid::LoadSnapshotSections(const SnapshotReader& reader,
 
   layout_ = layout;
   tiles_ = std::move(tiles);
-  // Occupancy is derived state, not a snapshot section: rebuilding from the
-  // begin arrays is O(tiles) and touches no entry pages, so mapped loads
-  // stay O(pages touched) and the file format is unchanged.
-  RebuildOccupancy();
+  // Occupancy, class-A extents and the out-of-domain flag are derived
+  // state, not snapshot sections, so the file format is unchanged. Deriving
+  // them reads every tile's begin array and every entry box once (the
+  // InDomain test and the extent fill), so a mapped load faults in every
+  // entry page here; it still copies none of them.
+  RebuildDerivedState();
   // A mapped load leaves the entry columns viewing the read-only mapping;
   // freeze so Build/Insert/Delete fail loudly instead of faulting.
   frozen_ = mapped;

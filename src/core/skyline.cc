@@ -1,6 +1,7 @@
 #include "core/skyline.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/query_stats.h"
 
@@ -12,8 +13,6 @@ std::vector<SkylineEntry> SkylineQuery(const TwoLayerGrid& grid,
   TLP_STATS_QUERY_TIMER();
   std::vector<SkylineEntry> sky;
   if (region != nullptr && region->IsEmpty()) return sky;
-
-  const GridLayout& g = grid.layout();
 
   // Feeds one candidate through the incremental skyline: reject it if a
   // kept point dominates it, else admit it and evict what it dominates.
@@ -34,66 +33,52 @@ std::vector<SkylineEntry> SkylineQuery(const TwoLayerGrid& grid,
     sky.push_back(SkylineEntry{e, dx, dy});
   };
 
-  // Candidate tiles: the class-A partitions hold every object exactly
-  // once. A region prunes the tile rectangle from above: an object
-  // intersecting the region starts at or before its upper corner, and
-  // ColumnOf/RowOf are monotone, so its class-A tile cannot lie beyond
-  // the region's upper tile in either dimension.
-  std::uint32_t imax = g.nx() - 1;
-  std::uint32_t jmax = g.ny() - 1;
-  if (region != nullptr) {
-    imax = g.ColumnOf(region->xu);
-    jmax = g.RowOf(region->yu);
-  }
-
-  // Per-tile attribute lower bounds. Class-A entries of tile (i, j) start
-  // inside the tile, so their (dx, dy) are bounded below by the distance
-  // from q to the tile's lower corner — relaxed by one full tile so that
-  // (a) the ulp gap between the multiplicative tile origin and the
-  // floor-based cell mapping (see core/classes.h) and (b) out-of-domain
-  // entries clamped into border tiles (column/row 0) can never make the
-  // bound optimistic. Sorting by bound lets early skyline points prune
-  // whole tiles before their entries are ever scanned.
-  struct TileRef {
-    Coord lbx, lby, key;
-    std::uint32_t i, j;
-  };
-  std::vector<TileRef> tiles;
-  for (std::uint32_t j = 0; j <= jmax; ++j) {
-    for (std::uint32_t i = 0; i <= imax; ++i) {
-      if (grid.ClassSpan(i, j, ObjectClass::kA).second == 0) continue;
-      const Coord lbx =
-          i == 0 ? 0
-                 : std::max(Coord{0}, g.TileOrigin(i - 1, j).x - q.x);
-      const Coord lby =
-          j == 0 ? 0
-                 : std::max(Coord{0}, g.TileOrigin(i, j - 1).y - q.y);
-      tiles.push_back(TileRef{lbx, lby, lbx + lby, i, j});
-    }
-  }
-  std::sort(tiles.begin(), tiles.end(),
-            [](const TileRef& a, const TileRef& b) {
-              if (a.key != b.key) return a.key < b.key;
-              if (a.j != b.j) return a.j < b.j;
-              return a.i < b.i;
-            });
-
-  for (const TileRef& t : tiles) {
-    bool tile_dominated = false;
+  // True iff a kept point dominates every attribute point >= (bx, by). Such
+  // a point also dominates every entry whose attributes are >= the bound,
+  // and dominance is transitive, so skipping them never changes the result
+  // even if that point is evicted later.
+  const auto dominated = [&](Coord bx, Coord by) {
     for (const SkylineEntry& s : sky) {
-      // s dominates EVERY possible attribute point >= (lbx, lby) of this
-      // tile, so no entry in it can survive: skip without scanning.
-      if (s.dx <= t.lbx && s.dy <= t.lby &&
-          (s.dx < t.lbx || s.dy < t.lby)) {
-        tile_dominated = true;
-        break;
-      }
+      if (SkylineDominates(s.dx, s.dy, bx, by)) return true;
     }
-    if (tile_dominated) continue;
-    const auto span = grid.ClassSpan(t.i, t.j, ObjectClass::kA);
+    return false;
+  };
+
+  // Per-tile bounds from the class-A extent matrix. Every class-A entry of
+  // a tile lies inside the tile's extent, and SkylineAxisDistance is
+  // monotone in both interval ends under IEEE rounding, so the extent's
+  // attributes lower-bound every entry's exactly, in every quadrant around
+  // q and for entries clamped in from outside the domain. A box with a NaN
+  // coordinate, or an inverted one, widens the extent to the whole plane
+  // (bound (0, 0), never dominated). A tile without class-A entries keeps Box::Empty(), whose
+  // bound (inf, inf) every finite point dominates. A non-finite q makes the
+  // attributes themselves NaN-prone, so such a query scans every tile.
+  const bool prune = std::isfinite(q.x) && std::isfinite(q.y);
+  const auto scan = [&](std::size_t t) {
+    const auto [p, n] = grid.ClassSpan(t, ObjectClass::kA);
+    if (n == 0) return;  // no class-A entry, or a stale extent
     TLP_STATS_ADD(tiles_visited, 1);
-    TLP_STATS_CLASS_SCANNED(ObjectClass::kA, span.second);
-    for (std::size_t n = 0; n < span.second; ++n) consider(span.first[n]);
+    TLP_STATS_CLASS_SCANNED(ObjectClass::kA, n);
+    for (std::size_t k = 0; k < n; ++k) consider(p[k]);
+  };
+
+  // The tile holding q first: its entries are the likeliest to be near q
+  // on both axes, so the points they leave dominate most other tiles'
+  // bounds. Then one sweep in storage order tests every tile inline. Any
+  // visiting order gives the same skyline; ordering the tiles by bound
+  // would cost more than the scans it saves.
+  const GridLayout& g = grid.layout();
+  const std::size_t seed = g.TileId(g.TileOf(q));
+  const std::vector<Box>& extents = grid.class_a_extents();
+  scan(seed);
+  for (std::size_t t = 0; t < extents.size(); ++t) {
+    const Box& ext = extents[t];
+    if (region != nullptr && !ext.Intersects(*region)) continue;
+    if (prune && dominated(SkylineAxisDistance(ext.xl, ext.xu, q.x),
+                           SkylineAxisDistance(ext.yl, ext.yu, q.y))) {
+      continue;
+    }
+    if (t != seed) scan(t);
   }
 
   std::sort(sky.begin(), sky.end(),

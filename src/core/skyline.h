@@ -46,17 +46,19 @@ struct SkylineEntry {
 /// skyline of a set is unique, so the result does not depend on scan
 /// order; it is returned sorted by id.
 ///
-/// Duplicate-free by construction: without a region the candidates are the
-/// class-A secondary partitions (every object belongs to class A of
-/// exactly one tile — the one holding its MBR's lower corner); with a
-/// `region` they come from WindowCandidates, duplicate-free by Lemmas 1-4.
-/// No post-hoc deduplication ever runs (asserted via TLP_STATS in tests).
+/// Duplicate-free by construction: the candidates are the class-A
+/// secondary partitions (every object belongs to class A of exactly one
+/// tile — the one holding its MBR's lower corner), each read once. No
+/// post-hoc deduplication ever runs (asserted via TLP_STATS in tests).
 ///
-/// Index acceleration: class-A entries of tile T satisfy r.xl >= T.xl and
-/// r.yl >= T.yl, so (max(0, T.xl - q.x), max(0, T.yl - q.y)) lower-bounds
-/// every entry's (dx, dy) in the tile. Tiles are visited in ascending
-/// lower-bound order and a tile whose bound is already dominated by a
-/// found skyline point is skipped without scanning its entries.
+/// Index acceleration: the grid keeps the union MBR of every tile's
+/// class-A entries (TwoLayerGrid::class_a_extents()). The extent's own
+/// (dx, dy) lower-bounds every entry's in that tile exactly — in every
+/// quadrant around q, and for entries clamped in from outside the domain.
+/// The tile holding q is scanned first; then one sweep in storage order
+/// skips each tile whose bound a found skyline point already dominates,
+/// or whose extent misses `region`, without reading its entries. Delete
+/// leaves extents as they are, and a stale superset is still a valid bound.
 ///
 /// `region`, when non-null, restricts the input to objects whose MBR
 /// intersects it (closed intervals, like WindowQuery). `keep`, when

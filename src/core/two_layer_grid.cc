@@ -10,23 +10,41 @@
 namespace tlp {
 
 TwoLayerGrid::TwoLayerGrid(const GridLayout& layout)
-    : layout_(layout), tiles_(layout.tile_count()) {
+    : layout_(layout),
+      tiles_(layout.tile_count()),
+      class_a_extent_(layout.tile_count(), Box::Empty()) {
   occupancy_.Reset(tiles_.size());
 }
 
-void TwoLayerGrid::RebuildOccupancy() {
+void TwoLayerGrid::RebuildDerivedState() {
   occupancy_.Reset(tiles_.size());
-  has_out_of_domain_ = false;
+  class_a_extent_.assign(tiles_.size(), Box::Empty());
+  bool out_of_domain = false;
   for (std::size_t t = 0; t < tiles_.size(); ++t) {
-    if (tiles_[t].empty()) continue;
+    const Tile& tile = tiles_[t];
+    if (tile.empty()) continue;
     occupancy_.Set(t);
-    for (const BoxEntry& e : tiles_[t].entries) {
-      if (!InDomain(e.box)) {
-        has_out_of_domain_ = true;
-        break;
-      }
+    const BoxEntry* data = tile.entries.data();
+    const std::uint32_t a_begin = tile.begin[SegmentOf(ObjectClass::kA)];
+    const std::uint32_t n = tile.begin[kNumClasses];
+    Box extent = Box::Empty();
+    for (std::uint32_t k = 0; k < n; ++k) {
+      out_of_domain |= !InDomain(data[k].box);
+      if (k >= a_begin) WidenExtent(extent, data[k].box);
     }
+    class_a_extent_[t] = extent;
   }
+  has_out_of_domain_ = out_of_domain;
+}
+
+void TwoLayerGrid::WidenExtent(Box& extent, const Box& b) {
+  // Negated so a NaN coordinate takes the whole-plane branch.
+  if (!(b.xl <= b.xu && b.yl <= b.yu)) {
+    constexpr Coord inf = std::numeric_limits<Coord>::infinity();
+    extent = Box{-inf, -inf, inf, inf};
+    return;
+  }
+  extent.ExpandToInclude(b);
 }
 
 bool TwoLayerGrid::InDomain(const Box& b) const {
@@ -105,7 +123,7 @@ void TwoLayerGrid::BuildSequential(const std::vector<BoxEntry>& entries) {
       }
     }
   }
-  RebuildOccupancy();
+  RebuildDerivedState();
 }
 
 void TwoLayerGrid::BuildOnPool(const std::vector<BoxEntry>& entries,
@@ -196,7 +214,7 @@ void TwoLayerGrid::BuildOnPool(const std::vector<BoxEntry>& entries,
   pool.Wait();
   // Sequentially: an occupancy word covers 64 tiles and so can straddle the
   // workers' tile-ownership cuts — setting bits from the workers would race.
-  RebuildOccupancy();
+  RebuildDerivedState();
 }
 
 void TwoLayerGrid::Insert(const BoxEntry& entry) {
@@ -210,6 +228,9 @@ void TwoLayerGrid::Insert(const BoxEntry& entry) {
       occupancy_.Set(tile_id);
       const std::size_t seg =
           SegmentOf(ClassifyEntryInTile(layout_, i, j, entry.box));
+      if (seg == SegmentOf(ObjectClass::kA)) {
+        WidenExtent(class_a_extent_[tile_id], entry.box);
+      }
       // O(1) insertion into the segmented vector: grow by one slot, then
       // relocate only the first element of each later segment to its
       // segment's new end (order within a segment does not matter). With
@@ -248,6 +269,8 @@ bool TwoLayerGrid::Delete(ObjectId id, const Box& box) {
         }
         v.pop_back();
         for (std::size_t t = seg + 1; t <= kNumClasses; ++t) --tile.begin[t];
+        // The class-A extent stays as it is: a stale superset still bounds
+        // the remaining entries, and shrinking it would cost a tile rescan.
         if (v.empty()) occupancy_.Clear(tile_id);
         found = true;
         break;
@@ -545,7 +568,9 @@ void TwoLayerGrid::DiskQueryEntries(const Point& q, Coord radius,
 }
 
 std::size_t TwoLayerGrid::SizeBytes() const {
-  std::size_t bytes = tiles_.capacity() * sizeof(Tile);
+  std::size_t bytes = tiles_.capacity() * sizeof(Tile) +
+                      class_a_extent_.capacity() * sizeof(Box) +
+                      occupancy_.SizeBytes();
   for (const Tile& tile : tiles_) {
     bytes += tile.entries.footprint_bytes();
   }
@@ -567,6 +592,7 @@ std::size_t TwoLayerGrid::ClassCount(std::uint32_t i, std::uint32_t j,
 
 bool TwoLayerGrid::CheckInvariants() const {
   if (occupancy_.bit_count() != tiles_.size()) return false;
+  if (class_a_extent_.size() != tiles_.size()) return false;
   for (std::uint32_t j = 0; j < layout_.ny(); ++j) {
     for (std::uint32_t i = 0; i < layout_.nx(); ++i) {
       const Tile& tile = tiles_[layout_.TileId(i, j)];
@@ -590,6 +616,16 @@ bool TwoLayerGrid::CheckInvariants() const {
           if (SegmentOf(c) != s) return false;
         }
       }
+      // Every class-A entry must already be covered by its tile's extent
+      // (widening by it changes nothing), or SKYLINE would prune a tile
+      // holding an undominated entry.
+      const Box& extent = class_a_extent_[layout_.TileId(i, j)];
+      const std::size_t a = SegmentOf(ObjectClass::kA);
+      for (std::uint32_t k = tile.begin[a]; k < tile.begin[a + 1]; ++k) {
+        Box widened = extent;
+        WidenExtent(widened, tile.entries[k].box);
+        if (widened != extent) return false;
+      }
     }
   }
   return true;
@@ -597,7 +633,12 @@ bool TwoLayerGrid::CheckInvariants() const {
 
 std::pair<const BoxEntry*, std::size_t> TwoLayerGrid::ClassSpan(
     std::uint32_t i, std::uint32_t j, ObjectClass c) const {
-  const Tile& tile = tiles_[layout_.TileId(i, j)];
+  return ClassSpan(layout_.TileId(i, j), c);
+}
+
+std::pair<const BoxEntry*, std::size_t> TwoLayerGrid::ClassSpan(
+    std::size_t tile_id, ObjectClass c) const {
+  const Tile& tile = tiles_[tile_id];
   const std::size_t k = SegmentOf(c);
   return {tile.entries.data() + tile.begin[k],
           tile.begin[k + 1] - tile.begin[k]};

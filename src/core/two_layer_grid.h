@@ -143,12 +143,21 @@ class TwoLayerGrid final : public PersistentIndex {
   std::pair<const BoxEntry*, std::size_t> ClassSpan(std::uint32_t i,
                                                     std::uint32_t j,
                                                     ObjectClass c) const;
+  /// As above, by tile id (layout().TileId(i, j)).
+  std::pair<const BoxEntry*, std::size_t> ClassSpan(std::size_t tile_id,
+                                                    ObjectClass c) const;
+
+  /// Per-tile class-A extent matrix, indexed by tile id: entry t covers
+  /// every class-A entry of tile t (see class_a_extent_). SkylineQuery
+  /// bounds and region-filters whole tiles with it.
+  const std::vector<Box>& class_a_extents() const { return class_a_extent_; }
 
   /// Full structural check of every tile's segmented vector: begin[0] == 0,
   /// begin[] monotone, begin[kNumClasses] == entries.size(), and every entry
   /// stored in the segment of its class — plus the occupancy bitset agreeing
-  /// with every tile's emptiness. O(total entries); for tests — the
-  /// Insert/Delete rotation logic must preserve all five properties.
+  /// with every tile's emptiness and every class-A entry lying inside its
+  /// tile's class-A extent. O(total entries); for tests — the Insert/Delete
+  /// rotation logic must preserve all six properties.
   bool CheckInvariants() const;
 
   /// Per-tile occupancy bits (set iff the tile holds entries); queries use
@@ -180,11 +189,18 @@ class TwoLayerGrid final : public PersistentIndex {
   /// Rejects updates while frozen (mapped); throws std::logic_error.
   void RequireMutable(const char* op) const;
 
-  /// Recomputes the occupancy bitset and the out-of-domain flag from the
-  /// tiles. O(entries); used after bulk loads and snapshot loads (both are
-  /// derived state and not persisted — rebuilding keeps the snapshot format
-  /// unchanged).
-  void RebuildOccupancy();
+  /// Recomputes the derived per-tile state — occupancy bitset, class-A
+  /// extents and the out-of-domain flag — in one pass over every entry.
+  /// Used after bulk loads and snapshot loads (all of it is derived and
+  /// not persisted, so the snapshot format is unchanged).
+  void RebuildDerivedState();
+
+  /// Grows `extent` to cover the class-A entry box `b`. A box with a NaN
+  /// coordinate, or an inverted one (xl > xu or yl > yu), widens it to the
+  /// whole plane: its skyline attributes need not be ordered like its
+  /// coordinates (a NaN attribute is never dominated), so only the
+  /// all-zero bound is safe for its tile.
+  static void WidenExtent(Box& extent, const Box& b);
 
   /// True iff `b` lies entirely inside the declared domain (NaN coordinates
   /// count as outside). Entries failing this are CLAMPED into border tiles
@@ -216,12 +232,18 @@ class TwoLayerGrid final : public PersistentIndex {
   GridLayout layout_;
   std::vector<Tile> tiles_;
   OccupancyBitset occupancy_;
+  /// Parallel to tiles_: the union MBR of each tile's class-A entries
+  /// (Box::Empty() for a tile that has none). Unlike the tile box it also
+  /// bounds entries clamped in from outside the domain, and it is tight on
+  /// every side. Insert widens it; Delete leaves it alone, because a stale
+  /// superset still bounds what remains. Rebuilt with the occupancy.
+  std::vector<Box> class_a_extent_;
   /// True if any stored entry lies (partly) outside the declared domain.
   /// Such entries are clamped into border tiles whose boxes do not bound
   /// them, so disk queries must treat border tiles conservatively: no
   /// tile-box distance shortcuts, and border rows extend to infinity when
   /// computing per-row disk extents. Sticky across Deletes (conservative);
-  /// recomputed by RebuildOccupancy on bulk/snapshot loads.
+  /// recomputed by RebuildDerivedState on bulk/snapshot loads.
   bool has_out_of_domain_ = false;
   /// True while the tile entry columns view a read-only snapshot mapping.
   bool frozen_ = false;

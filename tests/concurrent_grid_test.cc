@@ -264,6 +264,63 @@ TEST(ConcurrentGridTest, OverlayExactnessAcrossInterleavedUpdates) {
   EXPECT_FALSE(live.Delete(static_cast<ObjectId>(999999), kUnit));
 }
 
+TEST(ConcurrentGridTest, SkylineMatchesBruteForceAcrossMerges) {
+  // The live skyline runs on the published base, whose class-A extents a
+  // merge copies from the previous base and then widens by Insert (and
+  // leaves stale on Delete). Check it against the brute force over the
+  // live set, not against a grid that shares the extent code.
+  const auto base_data = testing::RandomEntries(1200, 0.04, 75);
+  TwoLayerGrid base(Layout());
+  base.Build(base_data);
+  ConcurrentTwoLayerGrid::Options opts;
+  opts.merge_threshold = 24;
+  ConcurrentTwoLayerGrid live(std::move(base), opts);
+
+  std::unordered_map<ObjectId, Box> live_boxes;
+  for (const BoxEntry& e : base_data) live_boxes.emplace(e.id, e.box);
+  Rng rng(76);
+  ObjectId next_id = 50000;
+  const Box region{0.15, 0.3, 0.8, 0.75};
+  for (int round = 0; round < 6; ++round) {
+    for (int op = 0; op < 60; ++op) {
+      if (rng.NextDouble() < 0.45) {
+        auto it = live_boxes.begin();
+        std::advance(it, static_cast<long>(
+                             rng.NextDouble() *
+                             static_cast<double>(live_boxes.size())));
+        ASSERT_TRUE(live.Delete(it->first, it->second));
+        live_boxes.erase(it);
+        continue;
+      }
+      // Mostly long horizontal or vertical objects: they start in a
+      // low-column (or low-row) tile and reach far across the domain, so a
+      // missing extent widening would hide them.
+      const double a = rng.NextDouble() * 0.3;
+      const double b = a + 0.3 + rng.NextDouble() * 0.6;
+      const double c = rng.NextDouble();
+      const Box box = rng.NextDouble() < 0.5 ? Box{a, c, b, c + 0.01}
+                                             : Box{c, a, c + 0.01, b};
+      ASSERT_TRUE(live.Insert(BoxEntry{box, next_id}));
+      live_boxes.emplace(next_id++, box);
+    }
+    std::vector<BoxEntry> data;
+    for (const auto& [id, box] : live_boxes) data.push_back(BoxEntry{box, id});
+    const ConcurrentTwoLayerGrid::Snapshot snap = live.Acquire();
+    for (int t = 0; t < 8; ++t) {
+      const Point q{rng.NextDouble(), rng.NextDouble()};
+      const std::string context = "round " + std::to_string(round);
+      testing::ExpectBitIdentical(snap.SkylineQuery(q),
+                                  testing::BruteForceSkyline(data, q),
+                                  context);
+      testing::ExpectBitIdentical(
+          snap.SkylineQuery(q, &region),
+          testing::BruteForceSkyline(data, q, &region), context + " region");
+    }
+  }
+  live.Flush();
+  EXPECT_GE(live.merges_completed(), 3u);
+}
+
 TEST(ConcurrentGridTest, SnapshotOutlivesSupersedingMerge) {
   const auto base_data = testing::RandomEntries(300, 0.05, 81);
   TwoLayerGrid base(Layout());

@@ -7,6 +7,7 @@
 // of the 2-layer+ grid: touching a fresh tile must grow the reported size.
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "gtest/gtest.h"
 
 #include "block/block_index.h"
+#include "common/column.h"
 #include "core/two_layer_grid.h"
 #include "core/two_layer_plus_grid.h"
 #include "datagen/synthetic.h"
@@ -65,6 +67,22 @@ TEST(SizeBytesAudit, TwoLayerGrid) {
   index.Build(data);
   const std::size_t payload = index.entry_count() * sizeof(BoxEntry);
   ExpectWithinPayloadBounds(index.SizeBytes(), payload, 3.0, "2-layer");
+}
+
+TEST(SizeBytesAudit, TwoLayerGridCountsPerTileState) {
+  // Every tile carries its entry column, its class begins and its class-A
+  // extent, and the grid one occupancy bit per tile: an empty grid reports
+  // at least all of that, and a build adds at least the entries on top.
+  TwoLayerGrid index(Layout());
+  const std::size_t per_tile = sizeof(Column<BoxEntry>) +
+                               (kNumClasses + 1) * sizeof(std::uint32_t) +
+                               sizeof(Box);
+  const std::size_t empty = index.SizeBytes();
+  EXPECT_GE(empty, index.layout().tile_count() * per_tile +
+                       index.occupancy().SizeBytes());
+  index.Build(MakeData(20000));
+  EXPECT_GE(index.SizeBytes() - empty,
+            index.entry_count() * sizeof(BoxEntry));
 }
 
 TEST(SizeBytesAudit, TwoLayerPlusCountsDecomposedTables) {

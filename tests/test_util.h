@@ -2,12 +2,16 @@
 #define TLP_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 
 #include "api/spatial_index.h"
 #include "common/rng.h"
+#include "core/skyline.h"
 #include "geometry/box.h"
 
 namespace tlp {
@@ -98,6 +102,64 @@ inline void CheckDiskAgainstBruteForce(const SpatialIndex& index,
   std::vector<ObjectId> actual;
   index.DiskQuery(q, radius, &actual);
   ExpectSameIdSet(expected, actual, context);
+}
+
+/// O(n^2) skyline oracle (contract: core/skyline.h). It restates the
+/// per-axis distance and dominance tests rather than calling the library's,
+/// with the same expressions, so results compare bit for bit. A NaN
+/// attribute fails every comparison: such an entry is never dominated.
+inline std::vector<SkylineEntry> BruteForceSkyline(
+    const std::vector<BoxEntry>& data, const Point& q,
+    const Box* region = nullptr, const EntryPredicate& keep = {}) {
+  const auto axis = [](Coord lo, Coord hi, Coord v) {
+    return std::max({lo - v, Coord{0}, v - hi});
+  };
+  const auto dominates = [](const SkylineEntry& a, const SkylineEntry& b) {
+    return a.dx <= b.dx && a.dy <= b.dy && (a.dx < b.dx || a.dy < b.dy);
+  };
+  std::vector<SkylineEntry> in;
+  for (const BoxEntry& e : data) {
+    if (region != nullptr && !e.box.Intersects(*region)) continue;
+    if (keep && !keep(e)) continue;
+    in.push_back(SkylineEntry{e, axis(e.box.xl, e.box.xu, q.x),
+                              axis(e.box.yl, e.box.yu, q.y)});
+  }
+  std::vector<SkylineEntry> sky;
+  for (const SkylineEntry& c : in) {
+    if (std::none_of(in.begin(), in.end(), [&](const SkylineEntry& o) {
+          return dominates(o, c);
+        })) {
+      sky.push_back(c);
+    }
+  }
+  std::sort(sky.begin(), sky.end(),
+            [](const SkylineEntry& a, const SkylineEntry& b) {
+              return a.entry.id < b.entry.id;
+            });
+  return sky;
+}
+
+/// Asserts two id-ordered skylines are bit-identical. Unlike
+/// SkylineEntry's operator== it treats NaN coordinates and attributes with
+/// equal bits as equal.
+inline void ExpectBitIdentical(const std::vector<SkylineEntry>& got,
+                               const std::vector<SkylineEntry>& want,
+                               const std::string& context) {
+  const auto same = [](Coord a, Coord b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (std::size_t n = 0; n < got.size(); ++n) {
+    const SkylineEntry& a = got[n];
+    const SkylineEntry& b = want[n];
+    EXPECT_EQ(a.entry.id, b.entry.id) << context << " entry " << n;
+    EXPECT_TRUE(same(a.entry.box.xl, b.entry.box.xl) &&
+                same(a.entry.box.yl, b.entry.box.yl) &&
+                same(a.entry.box.xu, b.entry.box.xu) &&
+                same(a.entry.box.yu, b.entry.box.yu) && same(a.dx, b.dx) &&
+                same(a.dy, b.dy))
+        << context << " entry " << n << " (id " << a.entry.id << ")";
+  }
 }
 
 }  // namespace testing
