@@ -86,7 +86,7 @@ void RegisterKnn(std::size_t k) {
         }
         std::size_t qi = 0;
         for (auto _ : state) {
-          const auto res = KnnQuery(*grid, queries[qi], k);
+          const auto res = KnnEntries(*grid, queries[qi], k);
           benchmark::DoNotOptimize(res.data());
           if (++qi == queries.size()) qi = 0;
         }

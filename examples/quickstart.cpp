@@ -73,9 +73,9 @@ int main(int argc, char** argv) {
 
   // 6. k-nearest neighbors (by MBR distance) and convex polygon ranges use
   // the same duplicate-free machinery.
-  const auto nearest = KnnQuery(grid, Point{0.5, 0.5}, 5);
+  const auto nearest = KnnEntries(grid, Point{0.5, 0.5}, 5);
   std::printf("5-NN of (0.5,0.5): nearest id %u at distance %.5f\n",
-              nearest.front().id, nearest.front().distance);
+              nearest.front().entry.id, nearest.front().distance);
   const ConvexPolygon triangle(
       {Point{0.40, 0.40}, Point{0.46, 0.41}, Point{0.43, 0.46}});
   results.clear();

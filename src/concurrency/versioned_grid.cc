@@ -23,11 +23,16 @@ void SeekChunk(std::shared_ptr<const DeltaChunk>* chunk, std::uint64_t* base,
   }
 }
 
-bool ById(const BoxEntry& a, const BoxEntry& b) { return a.id < b.id; }
-
-bool ByRank(const RankedEntry& a, const RankedEntry& b) {
-  return a.distance != b.distance ? a.distance < b.distance
-                                  : a.entry.id < b.entry.id;
+/// Calls `fn(op)` for every op of `v`'s delta window, in log order.
+/// Caller must hold the writer mutex or a pin on `v`.
+template <typename Fn>
+void ForEachDeltaOp(const Version& v, Fn&& fn) {
+  std::shared_ptr<const DeltaChunk> chunk = v.delta_head;
+  std::uint64_t base = v.head_base;
+  for (std::uint64_t idx = v.delta_begin; idx < v.delta_end; ++idx) {
+    SeekChunk(&chunk, &base, idx);
+    fn(chunk->ops[idx - base]);
+  }
 }
 
 }  // namespace
@@ -131,7 +136,9 @@ Status ConcurrentTwoLayerGrid::DeleteDurable(ObjectId id, const Box& box,
   DurableLog* wal = nullptr;
   {
     MutexLock lock(writer_mu_);
-    if (live_ids_.count(id) == 0) return Status::OK();  // not live
+    if (live_ids_.count(id) == 0 || !HasBoxLocked(id, box)) {
+      return Status::OK();  // not live, or not with this box
+    }
     wal = wal_;
     if (wal != nullptr) {
       seq = wal_base_ + total_ops_ + 1;
@@ -146,6 +153,25 @@ Status ConcurrentTwoLayerGrid::DeleteDurable(ObjectId id, const Box& box,
   *applied = true;
   if (wal != nullptr) return wal->Sync(seq);
   return Status::OK();
+}
+
+bool ConcurrentTwoLayerGrid::HasBoxLocked(ObjectId id, const Box& box) const {
+  const Version& cur = *published_.load();
+  bool in_window = false;
+  Box current;
+  ForEachDeltaOp(cur, [&](const DeltaOp& op) {
+    if (op.entry.id != id) return;
+    in_window = true;
+    current = op.entry.box;
+  });
+  if (in_window) return current == box;
+  const GridLayout& layout = cur.base->layout();
+  const auto [entries, n] = cur.base->ClassSpan(
+      layout.TileId(layout.TileOf(Point{box.xl, box.yl})), ObjectClass::kA);
+  for (std::size_t k = 0; k < n; ++k) {
+    if (entries[k].id == id) return entries[k].box == box;
+  }
+  return false;
 }
 
 Status ConcurrentTwoLayerGrid::CheckpointWal() {
@@ -215,38 +241,28 @@ void ConcurrentTwoLayerGrid::MaybeScheduleMergeLocked() {
 }
 
 void ConcurrentTwoLayerGrid::RunMerge() {
-  std::shared_ptr<const TwoLayerGrid> base;
-  std::shared_ptr<const DeltaChunk> chunk;
-  std::uint64_t chunk_base = 0;
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
+  Version window;  // a copy: its shared_ptrs keep base and chunks alive
   DurableLog* log = nullptr;
   {
     MutexLock lock(writer_mu_);
-    const Version& cur = *published_.load();
-    base = cur.base;
-    chunk = cur.delta_head;
-    chunk_base = cur.head_base;
-    begin = cur.delta_begin;
-    end = cur.delta_end;
+    window = *published_.load();
     log = wal_;
   }
+  const std::uint64_t end = window.delta_end;
   try {
-    // Clone and fold outside the mutex: ops [begin, end) and the base grid
+    // Clone and fold outside the mutex: the window's ops and the base grid
     // are immutable, and the writer keeps appending (and publishing)
     // meanwhile. The clone goes through the ordinary sequential
     // Insert/Delete paths, which maintain occupancy and the segmented
     // class invariants op by op.
-    auto fresh = std::make_shared<TwoLayerGrid>(*base);
-    for (std::uint64_t idx = begin; idx < end; ++idx) {
-      SeekChunk(&chunk, &chunk_base, idx);
-      const DeltaOp& op = chunk->ops[idx - chunk_base];
+    auto fresh = std::make_shared<TwoLayerGrid>(*window.base);
+    ForEachDeltaOp(window, [&fresh](const DeltaOp& op) {
       if (op.kind == DeltaOp::Kind::kInsert) {
         fresh->Insert(op.entry);
       } else {
         fresh->Delete(op.entry.id, op.entry.box);
       }
-    }
+    });
     {
       MutexLock lock(writer_mu_);
       const Version& cur = *published_.load();
@@ -300,8 +316,7 @@ ConcurrentTwoLayerGrid::Snapshot ConcurrentTwoLayerGrid::Acquire() const {
   // version loaded after the announcement cannot be freed while the pin
   // lives.
   EpochDomain::Guard guard = epoch_.Pin();
-  const Version* v = published_.load();
-  return Snapshot(std::move(guard), v);
+  return Snapshot(std::move(guard), *published_.load());
 }
 
 std::uint64_t ConcurrentTwoLayerGrid::published_seq() const {
@@ -312,19 +327,16 @@ std::uint64_t ConcurrentTwoLayerGrid::published_seq() const {
 }
 
 ConcurrentTwoLayerGrid::Snapshot::Snapshot(EpochDomain::Guard guard,
-                                           const Version* version)
-    : guard_(std::move(guard)), version_(version) {
+                                           const Version& version)
+    : guard_(std::move(guard)),
+      base_(version.base.get()),
+      seq_(version.delta_end) {
   // Materialize the last-op-wins overlay of the unmerged window. Ops are
   // replayed in log order, so the map holds each touched id's final state.
-  std::shared_ptr<const DeltaChunk> chunk = version->delta_head;
-  std::uint64_t base = version->head_base;
-  for (std::uint64_t idx = version->delta_begin; idx < version->delta_end;
-       ++idx) {
-    SeekChunk(&chunk, &base, idx);
-    const DeltaOp& op = chunk->ops[idx - base];
+  ForEachDeltaOp(version, [this](const DeltaOp& op) {
     overlay_[op.entry.id] =
         OverlayEntry{op.kind == DeltaOp::Kind::kInsert, op.entry.box};
-  }
+  });
 }
 
 EntryPredicate ConcurrentTwoLayerGrid::Snapshot::BaseKeep(
@@ -336,48 +348,50 @@ EntryPredicate ConcurrentTwoLayerGrid::Snapshot::BaseKeep(
   };
 }
 
-void ConcurrentTwoLayerGrid::Snapshot::WindowEntries(
-    const Box& w, std::vector<BoxEntry>* out) const {
-  out->clear();
-  std::vector<Candidate> cands;
-  base().WindowCandidates(w, &cands);
-  out->reserve(cands.size());
-  for (const Candidate& c : cands) {
-    if (!Hidden(c.id)) out->push_back(BoxEntry{c.box, c.id});
-  }
+template <typename Hit>
+void ConcurrentTwoLayerGrid::Snapshot::AddOverlayIdsAndSort(
+    Hit&& hit, const EntryPredicate& keep, std::vector<ObjectId>* out) const {
   for (const auto& [id, oe] : overlay_) {
-    if (oe.present && oe.box.Intersects(w)) out->push_back(BoxEntry{oe.box, id});
+    if (oe.present && hit(oe.box) && (!keep || keep(BoxEntry{oe.box, id}))) {
+      out->push_back(id);
+    }
   }
-  std::sort(out->begin(), out->end(), ById);
+  std::sort(out->begin(), out->end());
 }
 
 void ConcurrentTwoLayerGrid::Snapshot::WindowQuery(
-    const Box& w, std::vector<ObjectId>* out) const {
+    const Box& w, std::vector<ObjectId>* out,
+    const EntryPredicate& keep) const {
   out->clear();
-  if (overlay_.empty()) {
-    base().WindowQuery(w, out);
-    std::sort(out->begin(), out->end());
-    return;
-  }
-  std::vector<BoxEntry> entries;
-  WindowEntries(w, &entries);
-  out->reserve(entries.size());
-  for (const BoxEntry& e : entries) out->push_back(e.id);
-}
-
-void ConcurrentTwoLayerGrid::Snapshot::DiskQueryEntries(
-    const Point& q, Coord radius, std::vector<BoxEntry>* out) const {
-  out->clear();
-  base().DiskQueryEntries(q, radius, out);
-  if (!overlay_.empty()) {
-    std::erase_if(*out, [this](const BoxEntry& e) { return Hidden(e.id); });
-    for (const auto& [id, oe] : overlay_) {
-      if (oe.present && oe.box.MinDistanceTo(q) <= radius) {
-        out->push_back(BoxEntry{oe.box, id});
-      }
+  if (!keep) {
+    base_->WindowQuery(w, out);
+    if (!overlay_.empty()) {
+      std::erase_if(*out, [this](ObjectId id) { return Hidden(id); });
+    }
+  } else {
+    std::vector<Candidate> candidates;
+    base_->WindowCandidates(w, &candidates);
+    for (const Candidate& c : candidates) {
+      if (!Hidden(c.id) && keep(BoxEntry{c.box, c.id})) out->push_back(c.id);
     }
   }
-  std::sort(out->begin(), out->end(), ById);
+  AddOverlayIdsAndSort([&w](const Box& b) { return b.Intersects(w); }, keep,
+                       out);
+}
+
+void ConcurrentTwoLayerGrid::Snapshot::DiskQuery(
+    const Point& q, Coord radius, std::vector<ObjectId>* out,
+    const EntryPredicate& keep) const {
+  std::vector<BoxEntry> entries;
+  base_->DiskQueryEntries(q, radius, &entries);
+  out->clear();
+  out->reserve(entries.size());
+  for (const BoxEntry& e : entries) {
+    if (!Hidden(e.id) && (!keep || keep(e))) out->push_back(e.id);
+  }
+  AddOverlayIdsAndSort(
+      [&q, radius](const Box& b) { return b.MinDistanceTo(q) <= radius; },
+      keep, out);
 }
 
 std::vector<RankedEntry> ConcurrentTwoLayerGrid::Snapshot::KnnEntries(
@@ -387,7 +401,7 @@ std::vector<RankedEntry> ConcurrentTwoLayerGrid::Snapshot::KnnEntries(
   // candidates. The top-k of the union is therefore exact without
   // over-fetching.
   std::vector<RankedEntry> pool =
-      tlp::KnnEntries(base(), q, k, BaseKeep(keep));
+      tlp::KnnEntries(*base_, q, k, BaseKeep(keep));
   if (overlay_.empty()) return pool;
   for (const auto& [id, oe] : overlay_) {
     if (!oe.present) continue;
@@ -395,7 +409,7 @@ std::vector<RankedEntry> ConcurrentTwoLayerGrid::Snapshot::KnnEntries(
     if (keep && !keep(e)) continue;
     pool.push_back(RankedEntry{e, e.box.MinDistanceTo(q)});
   }
-  std::sort(pool.begin(), pool.end(), ByRank);
+  std::sort(pool.begin(), pool.end(), RankedBefore);
   if (pool.size() > k) pool.resize(k);
   return pool;
 }
@@ -407,7 +421,7 @@ std::vector<SkylineEntry> ConcurrentTwoLayerGrid::Snapshot::SkylineQuery(
   // entry must not evict anything). One base skyline plus a small
   // brute-force pass over the union is therefore exact.
   std::vector<SkylineEntry> cands =
-      tlp::SkylineQuery(base(), q, region, BaseKeep(keep));
+      tlp::SkylineQuery(*base_, q, region, BaseKeep(keep));
   if (overlay_.empty()) return cands;
   for (const auto& [id, oe] : overlay_) {
     if (!oe.present) continue;

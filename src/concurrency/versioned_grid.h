@@ -112,8 +112,10 @@ class ConcurrentTwoLayerGrid {
   /// well-defined.
   [[nodiscard]] bool Insert(const BoxEntry& entry);
 
-  /// Deletes object `id` (with the box it was inserted with, as in
-  /// TwoLayerGrid::Delete). Returns false when no such object is live.
+  /// Deletes object `id`, which must be given with its current box (the
+  /// one it was inserted with, as in TwoLayerGrid::Delete). Returns false,
+  /// and changes nothing, when no such object is live or `box` differs:
+  /// a mismatched box would remove only some replicas at the next merge.
   [[nodiscard]] bool Delete(ObjectId id, const Box& box);
 
   /// Attaches the write-ahead log every subsequent update appends to
@@ -134,7 +136,7 @@ class ConcurrentTwoLayerGrid {
   [[nodiscard]] Status InsertDurable(const BoxEntry& entry, bool* applied);
 
   /// Delete counterpart of InsertDurable. *applied false with OK = no
-  /// such live object.
+  /// such live object, or `box` is not its current box (nothing logged).
   [[nodiscard]] Status DeleteDurable(ObjectId id, const Box& box,
                                      bool* applied);
 
@@ -160,37 +162,42 @@ class ConcurrentTwoLayerGrid {
   /// base grid (the published delta window is empty).
   void Flush() TLP_EXCLUDES(writer_mu_);
 
-  /// A pinned, immutable view: epoch guard + Version + materialized
-  /// last-op-wins overlay of the version's delta window. Queries mirror
-  /// the sequential index's result contracts exactly (order included).
-  /// Movable; keep it only as long as the query runs — a long-lived
-  /// Snapshot stalls memory reclamation.
+  /// The one read view every served query runs on: a base grid plus a
+  /// last-op-wins overlay of the unmerged delta window. Acquire() returns
+  /// an epoch-pinned view of the published Version; the explicit
+  /// constructor views a plain grid (no pin, empty overlay, seq() == 0),
+  /// which then must outlive the view. Queries mirror the sequential
+  /// index's result contracts exactly (order included). Movable; keep it
+  /// only as long as the query runs — a long-lived pinned Snapshot stalls
+  /// memory reclamation.
   class Snapshot {
    public:
+    explicit Snapshot(const TwoLayerGrid& grid) : base_(&grid) {}
+    explicit Snapshot(TwoLayerGrid&&) = delete;  // would dangle
     Snapshot(Snapshot&&) = default;
     Snapshot& operator=(Snapshot&&) = default;
     Snapshot(const Snapshot&) = delete;
     Snapshot& operator=(const Snapshot&) = delete;
 
     /// Logical sequence number: total update ops visible to this view.
-    [[nodiscard]] std::uint64_t seq() const { return version_->delta_end; }
-    /// The published base grid (excludes the delta overlay).
-    [[nodiscard]] const TwoLayerGrid& base() const { return *version_->base; }
+    [[nodiscard]] std::uint64_t seq() const { return seq_; }
+    /// The base grid (excludes the delta overlay).
+    [[nodiscard]] const TwoLayerGrid& base() const { return *base_; }
     /// Distinct object ids touched by the unmerged delta window.
     [[nodiscard]] std::size_t overlay_size() const { return overlay_.size(); }
 
-    /// Ids of live objects intersecting `w`, sorted ascending.
-    void WindowQuery(const Box& w, std::vector<ObjectId>* out) const;
-    /// Entries of live objects intersecting `w`, sorted by id.
-    void WindowEntries(const Box& w, std::vector<BoxEntry>* out) const;
-    /// Entries of live objects with MinDistanceTo(q) <= radius, sorted by
-    /// id.
-    void DiskQueryEntries(const Point& q, Coord radius,
-                          std::vector<BoxEntry>* out) const;
+    /// Ids of live objects intersecting `w` and matching `keep`, sorted
+    /// ascending.
+    void WindowQuery(const Box& w, std::vector<ObjectId>* out,
+                     const EntryPredicate& keep = {}) const;
+    /// Ids of live objects with MinDistanceTo(q) <= radius and matching
+    /// `keep`, sorted ascending.
+    void DiskQuery(const Point& q, Coord radius, std::vector<ObjectId>* out,
+                   const EntryPredicate& keep = {}) const;
     /// The k nearest live entries matching `keep`, sorted by
     /// (distance, id) — same contract as tlp::KnnEntries.
-    [[nodiscard]] std::vector<RankedEntry> KnnEntries(const Point& q, std::size_t k,
-                                        const EntryPredicate& keep = {}) const;
+    [[nodiscard]] std::vector<RankedEntry> KnnEntries(
+        const Point& q, std::size_t k, const EntryPredicate& keep = {}) const;
     /// Skyline of the live set — same contract as tlp::SkylineQuery.
     [[nodiscard]] std::vector<SkylineEntry> SkylineQuery(
         const Point& q, const Box* region = nullptr,
@@ -211,7 +218,7 @@ class ConcurrentTwoLayerGrid {
       Box box;
     };
 
-    Snapshot(EpochDomain::Guard guard, const Version* version);
+    Snapshot(EpochDomain::Guard guard, const Version& version);
 
     /// True iff the overlay overrides object `id` (hides its base entry).
     bool Hidden(ObjectId id) const {
@@ -219,9 +226,17 @@ class ConcurrentTwoLayerGrid {
     }
     /// `keep` composed with the overlay hide-filter, for base-grid probes.
     EntryPredicate BaseKeep(const EntryPredicate& keep) const;
+    /// Appends the ids of present overlay entries `hit` accepts and `keep`
+    /// matches, then sorts `out` ascending (the WINDOW/DISK tail).
+    template <typename Hit>
+    void AddOverlayIdsAndSort(Hit&& hit, const EntryPredicate& keep,
+                              std::vector<ObjectId>* out) const;
 
+    /// Empty (unpinned) for a view of a plain grid. The pin keeps the
+    /// Version, and through it *base_, alive.
     EpochDomain::Guard guard_;
-    const Version* version_;
+    const TwoLayerGrid* base_;
+    std::uint64_t seq_ = 0;
     std::unordered_map<ObjectId, OverlayEntry> overlay_;
   };
 
@@ -265,6 +280,12 @@ class ConcurrentTwoLayerGrid {
   /// Publishes `v` (heap-allocated, ownership taken) and retires the
   /// previous version.
   void PublishLocked(const Version* v) TLP_REQUIRES(writer_mu_);
+  /// True iff live object `id` currently has exactly `box`: the box of
+  /// the last op on `id` in the published delta window or, when the
+  /// window has none, of its class-A entry in the base grid (which sits in
+  /// the tile of the box's lower corner). O(delta window + one tile).
+  bool HasBoxLocked(ObjectId id, const Box& box) const
+      TLP_REQUIRES(writer_mu_);
   /// Schedules a background merge if one is warranted and none is queued.
   void MaybeScheduleMergeLocked() TLP_REQUIRES(writer_mu_);
   /// The background merge task body. Takes writer_mu_ itself (twice,

@@ -6,9 +6,10 @@
 
 namespace tlp {
 
-std::vector<KnnResult> KnnQuery(const TwoLayerGrid& grid, const Point& q,
-                                std::size_t k) {
-  std::vector<KnnResult> results;
+std::vector<RankedEntry> KnnEntries(const TwoLayerGrid& grid, const Point& q,
+                                    std::size_t k,
+                                    const EntryPredicate& keep) {
+  std::vector<RankedEntry> results;
   if (k == 0 || grid.entry_count() == 0) return results;
 
   const GridLayout& g = grid.layout();
@@ -26,23 +27,30 @@ std::vector<KnnResult> KnnQuery(const TwoLayerGrid& grid, const Point& q,
   // query restricted to the annulus beyond the previous radius: the
   // candidate set is kept across doublings, so tiles fully inside the
   // previous probe are skipped instead of re-scanned and every object is
-  // distance-tested at most once. The accumulated set after the last probe
-  // equals a single full-disk query at the final radius.
+  // distance-tested (and run through `keep`) at most once. The accumulated
+  // set after the last probe equals a single full-disk query at the final
+  // radius.
   Coord radius = 2 * std::max(g.tile_width(), g.tile_height()) *
                  std::sqrt(static_cast<double>(k));
   Coord prev_radius = -1;  // < 0: first probe scans the whole disk
   bool final_probe = false;
   std::vector<BoxEntry> candidates;
+  std::size_t scanned = 0;
   for (;;) {
     grid.DiskQueryEntries(q, radius, &candidates, prev_radius);
-    if (candidates.size() >= k || final_probe) break;
+    for (; scanned < candidates.size(); ++scanned) {
+      const BoxEntry& e = candidates[scanned];
+      if (keep && !keep(e)) continue;
+      results.push_back(RankedEntry{e, e.box.MinDistanceTo(q)});
+    }
+    if (results.size() >= k || final_probe) break;
     prev_radius = radius;
     if (radius >= max_radius) {
       // Beyond max_radius the whole domain is covered, but entries CLAMPED
       // into border tiles can sit arbitrarily far outside it. One last
       // annulus probe at infinite radius picks those up (an infinite disk's
       // tile range is every tile, and sqrt/distance arithmetic is
-      // inf-clean), so k results are returned whenever k objects exist
+      // inf-clean), so k results are returned whenever k objects match
       // instead of silently fewer.
       radius = std::numeric_limits<Coord>::infinity();
       final_probe = true;
@@ -51,22 +59,16 @@ std::vector<KnnResult> KnnQuery(const TwoLayerGrid& grid, const Point& q,
     }
   }
 
-  results.reserve(candidates.size());
-  for (const BoxEntry& e : candidates) {
-    results.push_back(KnnResult{e.box.MinDistanceTo(q), e.id});
-  }
-  auto by_distance = [](const KnnResult& a, const KnnResult& b) {
-    return a.distance != b.distance ? a.distance < b.distance : a.id < b.id;
-  };
   if (results.size() > k) {
-    // All candidates within `radius` are present and the k-th smallest
-    // distance is <= radius, so the k smallest are the exact answer.
+    // All matching candidates within `radius` are present and the k-th
+    // smallest matching distance is <= radius, so the k smallest are the
+    // exact answer.
     std::nth_element(results.begin(),
                      results.begin() + static_cast<std::ptrdiff_t>(k),
-                     results.end(), by_distance);
+                     results.end(), RankedBefore);
     results.resize(k);
   }
-  std::sort(results.begin(), results.end(), by_distance);
+  std::sort(results.begin(), results.end(), RankedBefore);
   return results;
 }
 

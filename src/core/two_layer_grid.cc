@@ -1,8 +1,10 @@
 #include "core/two_layer_grid.h"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "grid/parallel_build.h"
 #include "grid/scan.h"
@@ -593,9 +595,36 @@ std::size_t TwoLayerGrid::ClassCount(std::uint32_t i, std::uint32_t j,
 bool TwoLayerGrid::CheckInvariants() const {
   if (occupancy_.bit_count() != tiles_.size()) return false;
   if (class_a_extent_.size() != tiles_.size()) return false;
+  // Per id: its box, the last tile it was seen in and its replica count.
+  struct Replicas {
+    Box box;
+    std::size_t tile;
+    std::size_t count;
+  };
+  std::unordered_map<ObjectId, Replicas> replicas;
   for (std::uint32_t j = 0; j < layout_.ny(); ++j) {
     for (std::uint32_t i = 0; i < layout_.nx(); ++i) {
-      const Tile& tile = tiles_[layout_.TileId(i, j)];
+      const std::size_t tile_id = layout_.TileId(i, j);
+      const Tile& tile = tiles_[tile_id];
+      // Every (id, box) pair must sit in tiles of TilesFor(box) only, at
+      // most once in each (tiles are visited in ascending id order) — the
+      // count check below then makes it exactly once in each. A Delete
+      // given another box than the stored one breaks this: it removes only
+      // some replicas, and the orphans later surface as duplicate results.
+      for (std::size_t k = 0; k < tile.entries.size(); ++k) {
+        const BoxEntry& e = tile.entries[k];
+        const TileRange r = layout_.TilesFor(e.box);
+        if (i < r.i0 || i > r.i1 || j < r.j0 || j > r.j1) return false;
+        const auto [it, fresh] =
+            replicas.try_emplace(e.id, Replicas{e.box, tile_id, 1});
+        if (fresh) continue;
+        if (std::memcmp(&it->second.box, &e.box, sizeof(Box)) != 0 ||
+            it->second.tile == tile_id) {
+          return false;
+        }
+        it->second.tile = tile_id;
+        ++it->second.count;
+      }
       // The occupancy bit must agree with the tile's emptiness, or queries
       // routed through the bitset would silently drop (or re-scan) tiles.
       if (occupancy_.Test(layout_.TileId(i, j)) != !tile.empty()) {
@@ -627,6 +656,9 @@ bool TwoLayerGrid::CheckInvariants() const {
         if (widened != extent) return false;
       }
     }
+  }
+  for (const auto& [id, rep] : replicas) {
+    if (rep.count != layout_.TilesFor(rep.box).count()) return false;
   }
   return true;
 }

@@ -72,12 +72,12 @@ class TwoLayerGrid final : public PersistentIndex {
                  std::vector<ObjectId>* out) const override;
 
   /// Disk query returning the full (MBR, id) entries instead of bare ids;
-  /// used by consumers that rank candidates by distance (e.g., KnnQuery).
+  /// used by consumers that rank candidates by distance (e.g., KnnEntries).
   /// A non-negative `min_radius` restricts the report to the annulus
   /// min_radius < MinDistanceTo(q) <= radius: tiles entirely within
   /// `min_radius` of `q` are skipped and entries at distance <= min_radius
   /// are filtered out, so an incremental caller that has already evaluated
-  /// the disk of radius `min_radius` (e.g. KnnQuery's radius doubling) sees
+  /// the disk of radius `min_radius` (e.g. KnnEntries' radius doubling) sees
   /// each remaining object exactly once instead of re-receiving the whole
   /// inner disk.
   void DiskQueryEntries(const Point& q, Coord radius,
@@ -155,9 +155,11 @@ class TwoLayerGrid final : public PersistentIndex {
   /// Full structural check of every tile's segmented vector: begin[0] == 0,
   /// begin[] monotone, begin[kNumClasses] == entries.size(), and every entry
   /// stored in the segment of its class — plus the occupancy bitset agreeing
-  /// with every tile's emptiness and every class-A entry lying inside its
-  /// tile's class-A extent. O(total entries); for tests — the Insert/Delete
-  /// rotation logic must preserve all six properties.
+  /// with every tile's emptiness, every class-A entry lying inside its
+  /// tile's class-A extent, and every stored (id, box) pair sitting in
+  /// exactly the tiles of TilesFor(box), once in each (ids are unique).
+  /// O(total entries); for tests — the Insert/Delete rotation logic must
+  /// preserve all seven properties.
   bool CheckInvariants() const;
 
   /// Per-tile occupancy bits (set iff the tile holds entries); queries use

@@ -1,6 +1,5 @@
 #include "net/query_eval.h"
 
-#include <algorithm>
 #include <cstdint>
 
 #include "common/query_stats.h"
@@ -78,14 +77,66 @@ std::string SkylineRow(const SkylineEntry& s) {
   return row;
 }
 
-/// Filters (id, box) candidates through `keep`, emits ids in ascending
-/// order — the shared tail of WINDOW and DISK evaluation.
-void EmitIdRows(const std::vector<ObjectId>& ids,
-                std::vector<std::string>* rows) {
-  std::vector<ObjectId> sorted = ids;
-  std::sort(sorted.begin(), sorted.end());
-  rows->reserve(sorted.size());
-  for (const ObjectId id : sorted) rows->push_back(IdRow(id));
+/// Formats every result with `row`, in result order.
+template <typename T, typename RowFn>
+void EmitRows(const std::vector<T>& results, RowFn row,
+              std::vector<std::string>* rows) {
+  rows->reserve(results.size());
+  for (const T& r : results) rows->push_back(row(r));
+}
+
+/// The one evaluation switch over the five read kinds. `snap` is either a
+/// pinned live view or a plain read-only grid viewed without an overlay;
+/// the per-row work is the same for both.
+Status EvaluateRead(const ConcurrentTwoLayerGrid::Snapshot& snap,
+                    const Query& q, EvalResult* out) {
+  if (Status s = CheckCounts(q); !s.ok()) return s;
+  out->rows.clear();
+  out->stats_json.clear();
+  if (q.with_stats) ResetQueryStats();
+  const EntryPredicate keep = CompileWhere(q.where.get());
+
+  switch (q.kind) {
+    case QueryKind::kWindow: {
+      std::vector<ObjectId> ids;
+      if (!q.box.IsEmpty()) snap.WindowQuery(q.box, &ids, keep);
+      EmitRows(ids, IdRow, &out->rows);
+      break;
+    }
+    case QueryKind::kDisk: {
+      std::vector<ObjectId> ids;
+      snap.DiskQuery(q.point, q.radius, &ids, keep);
+      EmitRows(ids, IdRow, &out->rows);
+      break;
+    }
+    case QueryKind::kKnn:
+      EmitRows(snap.KnnEntries(q.point, static_cast<std::size_t>(q.k), keep),
+               RankedRow, &out->rows);
+      break;
+    case QueryKind::kSkyline:
+      EmitRows(snap.SkylineQuery(q.point, q.has_region ? &q.box : nullptr,
+                                 keep),
+               SkylineRow, &out->rows);
+      break;
+    case QueryKind::kDivKnn: {
+      DivKnnOptions opts;
+      opts.k = static_cast<std::size_t>(q.k);
+      if (q.has_fetch) opts.fetch = static_cast<std::size_t>(q.fetch);
+      if (q.has_lambda) opts.lambda = q.lambda;
+      EmitRows(snap.DiversifiedKnnQuery(q.point, opts, keep), RankedRow,
+               &out->rows);
+      break;
+    }
+    case QueryKind::kInsert:
+    case QueryKind::kDelete:
+    case QueryKind::kWalStats:
+      return Status::InvalidArgument("not a read");
+  }
+
+  if (q.with_stats && kQueryStatsEnabled) {
+    out->stats_json = GetQueryStats().ToJson(StatsLabel(q.kind));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -149,184 +200,34 @@ Status EvaluateQuery(const TwoLayerGrid& grid, const Query& q,
     return Status::InvalidArgument(
         "read-only index: WALSTATS needs a live server (tlp_serve --live)");
   }
-  if (Status s = CheckCounts(q); !s.ok()) return s;
-
-  out->rows.clear();
-  out->stats_json.clear();
-  if (q.with_stats) ResetQueryStats();
-  const EntryPredicate keep = CompileWhere(q.where.get());
-
-  switch (q.kind) {
-    case QueryKind::kWindow: {
-      std::vector<ObjectId> ids;
-      if (!q.box.IsEmpty()) {
-        if (q.where == nullptr) {
-          grid.WindowQuery(q.box, &ids);
-        } else {
-          std::vector<Candidate> candidates;
-          grid.WindowCandidates(q.box, &candidates);
-          for (const Candidate& c : candidates) {
-            if (keep(BoxEntry{c.box, c.id})) ids.push_back(c.id);
-          }
-        }
-      }
-      EmitIdRows(ids, &out->rows);
-      break;
-    }
-    case QueryKind::kDisk: {
-      std::vector<BoxEntry> entries;
-      grid.DiskQueryEntries(q.point, q.radius, &entries);
-      std::vector<ObjectId> ids;
-      ids.reserve(entries.size());
-      for (const BoxEntry& e : entries) {
-        if (!keep || keep(e)) ids.push_back(e.id);
-      }
-      EmitIdRows(ids, &out->rows);
-      break;
-    }
-    case QueryKind::kKnn: {
-      const auto results =
-          KnnEntries(grid, q.point, static_cast<std::size_t>(q.k), keep);
-      out->rows.reserve(results.size());
-      for (const RankedEntry& r : results) {
-        out->rows.push_back(RankedRow(r));
-      }
-      break;
-    }
-    case QueryKind::kSkyline: {
-      const Box* region = q.has_region ? &q.box : nullptr;
-      const auto sky = SkylineQuery(grid, q.point, region, keep);
-      out->rows.reserve(sky.size());
-      for (const SkylineEntry& s : sky) {
-        out->rows.push_back(SkylineRow(s));
-      }
-      break;
-    }
-    case QueryKind::kDivKnn: {
-      DivKnnOptions opts;
-      opts.k = static_cast<std::size_t>(q.k);
-      if (q.has_fetch) opts.fetch = static_cast<std::size_t>(q.fetch);
-      if (q.has_lambda) opts.lambda = q.lambda;
-      const auto results = DiversifiedKnnQuery(grid, q.point, opts, keep);
-      out->rows.reserve(results.size());
-      for (const RankedEntry& r : results) {
-        out->rows.push_back(RankedRow(r));
-      }
-      break;
-    }
-    case QueryKind::kInsert:
-    case QueryKind::kDelete:
-    case QueryKind::kWalStats:
-      break;  // rejected by the early returns above
-  }
-
-  if (q.with_stats && kQueryStatsEnabled) {
-    out->stats_json = GetQueryStats().ToJson(StatsLabel(q.kind));
-  }
-  return Status::OK();
+  return EvaluateRead(ConcurrentTwoLayerGrid::Snapshot(grid), q, out);
 }
 
 Status EvaluateQuery(ConcurrentTwoLayerGrid& live, const Query& q,
                      EvalResult* out) {
-  if (Status s = CheckCounts(q); !s.ok()) return s;
-
+  if (!IsUpdate(q.kind) && q.kind != QueryKind::kWalStats) {
+    return EvaluateRead(live.Acquire(), q, out);
+  }
   out->rows.clear();
   out->stats_json.clear();
-
-  if (IsUpdate(q.kind)) {
-    if (q.id >= kInvalidObjectId) {
-      return Status::InvalidArgument("object id out of range");
-    }
-    const ObjectId id = static_cast<ObjectId>(q.id);
-    // The durable path: with a WAL attached the op is logged and
-    // group-commit fsynced before OK comes back, so the "1"/"0" reply is a
-    // durable acknowledgment; a WAL failure surfaces as ERR and the client
-    // must not count the op as accepted.
-    bool applied = false;
-    const Status s = q.kind == QueryKind::kInsert
-                         ? live.InsertDurable(BoxEntry{q.box, id}, &applied)
-                         : live.DeleteDurable(id, q.box, &applied);
-    if (!s.ok()) return s;
-    out->rows.push_back(applied ? "1" : "0");
-    return Status::OK();
-  }
-
   if (q.kind == QueryKind::kWalStats) {
     EmitWalStats(live, &out->rows);
     return Status::OK();
   }
-
-  if (q.with_stats) ResetQueryStats();
-  const EntryPredicate keep = CompileWhere(q.where.get());
-  const ConcurrentTwoLayerGrid::Snapshot snap = live.Acquire();
-
-  switch (q.kind) {
-    case QueryKind::kWindow: {
-      std::vector<ObjectId> ids;
-      if (!q.box.IsEmpty()) {
-        if (q.where == nullptr) {
-          snap.WindowQuery(q.box, &ids);
-        } else {
-          std::vector<BoxEntry> entries;
-          snap.WindowEntries(q.box, &entries);
-          for (const BoxEntry& e : entries) {
-            if (keep(e)) ids.push_back(e.id);
-          }
-        }
-      }
-      EmitIdRows(ids, &out->rows);
-      break;
-    }
-    case QueryKind::kDisk: {
-      std::vector<BoxEntry> entries;
-      snap.DiskQueryEntries(q.point, q.radius, &entries);
-      std::vector<ObjectId> ids;
-      ids.reserve(entries.size());
-      for (const BoxEntry& e : entries) {
-        if (!keep || keep(e)) ids.push_back(e.id);
-      }
-      EmitIdRows(ids, &out->rows);
-      break;
-    }
-    case QueryKind::kKnn: {
-      const auto results =
-          snap.KnnEntries(q.point, static_cast<std::size_t>(q.k), keep);
-      out->rows.reserve(results.size());
-      for (const RankedEntry& r : results) {
-        out->rows.push_back(RankedRow(r));
-      }
-      break;
-    }
-    case QueryKind::kSkyline: {
-      const Box* region = q.has_region ? &q.box : nullptr;
-      const auto sky = snap.SkylineQuery(q.point, region, keep);
-      out->rows.reserve(sky.size());
-      for (const SkylineEntry& s : sky) {
-        out->rows.push_back(SkylineRow(s));
-      }
-      break;
-    }
-    case QueryKind::kDivKnn: {
-      DivKnnOptions opts;
-      opts.k = static_cast<std::size_t>(q.k);
-      if (q.has_fetch) opts.fetch = static_cast<std::size_t>(q.fetch);
-      if (q.has_lambda) opts.lambda = q.lambda;
-      const auto results = snap.DiversifiedKnnQuery(q.point, opts, keep);
-      out->rows.reserve(results.size());
-      for (const RankedEntry& r : results) {
-        out->rows.push_back(RankedRow(r));
-      }
-      break;
-    }
-    case QueryKind::kInsert:
-    case QueryKind::kDelete:
-    case QueryKind::kWalStats:
-      break;  // handled above
+  if (q.id >= kInvalidObjectId) {
+    return Status::InvalidArgument("object id out of range");
   }
-
-  if (q.with_stats && kQueryStatsEnabled) {
-    out->stats_json = GetQueryStats().ToJson(StatsLabel(q.kind));
-  }
+  const ObjectId id = static_cast<ObjectId>(q.id);
+  // The durable path: with a WAL attached the op is logged and
+  // group-commit fsynced before OK comes back, so the "1"/"0" reply is a
+  // durable acknowledgment; a WAL failure surfaces as ERR and the client
+  // must not count the op as accepted.
+  bool applied = false;
+  const Status s = q.kind == QueryKind::kInsert
+                       ? live.InsertDurable(BoxEntry{q.box, id}, &applied)
+                       : live.DeleteDurable(id, q.box, &applied);
+  if (!s.ok()) return s;
+  out->rows.push_back(applied ? "1" : "0");
   return Status::OK();
 }
 

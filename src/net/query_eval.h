@@ -42,10 +42,11 @@ struct EvalResult {
 
 /// Evaluates `q` against a live (concurrent) index. Reads acquire one
 /// epoch-pinned snapshot and see (published version + unmerged delta) —
-/// exact, duplicate-free, same row formats as the read-only overload.
+/// exact, duplicate-free, and evaluated by the same code as the read-only
+/// overload, which views its grid through a Snapshot without an overlay.
 /// Updates (INSERT / DELETE) apply through the writer path and reply with
 /// a single row: "1" (inserted / found and deleted) or "0" (duplicate id /
-/// not found).
+/// not found / DELETE with another box than the stored one).
 [[nodiscard]] Status EvaluateQuery(ConcurrentTwoLayerGrid& live,
                                    const Query& q, EvalResult* out);
 

@@ -154,19 +154,32 @@ void ExpectSnapshotMatchesOracle(const ConcurrentTwoLayerGrid& live,
     const Point q{rng.NextDouble(), rng.NextDouble()};
     const Coord radius = rng.NextDouble() * 0.15;
 
-    std::vector<BoxEntry> expected_entries;
-    oracle.DiskQueryEntries(q, radius, &expected_entries);
-    std::sort(expected_entries.begin(), expected_entries.end(),
-              [](const BoxEntry& a, const BoxEntry& b) { return a.id < b.id; });
-    std::vector<BoxEntry> actual_entries;
-    snap.DiskQueryEntries(q, radius, &actual_entries);
-    ASSERT_EQ(actual_entries.size(), expected_entries.size())
-        << context << " disk";
-    for (std::size_t i = 0; i < actual_entries.size(); ++i) {
-      EXPECT_EQ(actual_entries[i].id, expected_entries[i].id)
-          << context << " disk entry " << i;
-      EXPECT_EQ(actual_entries[i].box, expected_entries[i].box)
-          << context << " disk entry " << i;
+    // Ids only, so the boxes are checked through a box-field predicate.
+    const EntryPredicate wide = [](const BoxEntry& e) {
+      return e.box.width() > 0.02;
+    };
+    for (const EntryPredicate& keep : {EntryPredicate{}, wide}) {
+      std::vector<BoxEntry> expected_entries;
+      oracle.DiskQueryEntries(q, radius, &expected_entries);
+      std::vector<ObjectId> expected;
+      for (const BoxEntry& e : expected_entries) {
+        if (!keep || keep(e)) expected.push_back(e.id);
+      }
+      std::sort(expected.begin(), expected.end());
+      std::vector<ObjectId> actual;
+      snap.DiskQuery(q, radius, &actual, keep);
+      EXPECT_EQ(actual, expected) << context << " disk";
+
+      const Box w{q.x - radius, q.y - radius, q.x + radius, q.y + radius};
+      std::vector<Candidate> candidates;
+      oracle.WindowCandidates(w, &candidates);
+      expected.clear();
+      for (const Candidate& c : candidates) {
+        if (!keep || keep(BoxEntry{c.box, c.id})) expected.push_back(c.id);
+      }
+      std::sort(expected.begin(), expected.end());
+      snap.WindowQuery(w, &actual, keep);
+      EXPECT_EQ(actual, expected) << context << " window";
     }
 
     const std::size_t k = 1 + static_cast<std::size_t>(rng.NextDouble() * 12);
@@ -189,6 +202,40 @@ void ExpectSnapshotMatchesOracle(const ConcurrentTwoLayerGrid& live,
               DiversifiedKnnQuery(oracle, q, opts))
         << context << " divknn k=" << opts.k;
   }
+}
+
+TEST(ConcurrentGridTest, DeleteWithAnotherBoxChangesNothing) {
+  // Regression: id 7 spans tiles (0,0) and (1,0). A delete naming a box
+  // inside tile (0,0) only used to be acknowledged; the merge then removed
+  // only the class-A replica, the orphan in tile (1,0) kept answering
+  // windows, and re-inserting 7 made that tile return it twice.
+  const Box stored{0.1, 0.1, 0.4, 0.2};
+  const Box other{0.1, 0.1, 0.2, 0.2};
+  const Box tile_windows[] = {Box{0.05, 0.05, 0.2, 0.2},   // tile (0,0)
+                              Box{0.3, 0.05, 0.45, 0.2}};  // tile (1,0)
+  const auto expect_once = [&](const ConcurrentTwoLayerGrid& live) {
+    const ConcurrentTwoLayerGrid::Snapshot snap = live.Acquire();
+    EXPECT_TRUE(snap.base().CheckInvariants());
+    for (const Box& w : tile_windows) {
+      std::vector<ObjectId> ids;
+      snap.WindowQuery(w, &ids);
+      EXPECT_EQ(ids, std::vector<ObjectId>{7});
+    }
+  };
+  ConcurrentTwoLayerGrid live(TwoLayerGrid(GridLayout(kUnit, 4, 4)));
+  ASSERT_TRUE(live.Insert(BoxEntry{stored, 7}));
+  // Once while id 7 is in the delta window, once merged into the base.
+  EXPECT_FALSE(live.Delete(7, other));
+  live.Flush();
+  expect_once(live);
+  EXPECT_FALSE(live.Delete(7, other));
+  live.Flush();
+  expect_once(live);
+  // The stored box deletes it; re-inserting stores exactly one copy.
+  EXPECT_TRUE(live.Delete(7, stored));
+  ASSERT_TRUE(live.Insert(BoxEntry{stored, 7}));
+  live.Flush();
+  expect_once(live);
 }
 
 TEST(ConcurrentGridTest, OverlayExactnessAcrossInterleavedUpdates) {

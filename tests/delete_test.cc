@@ -42,6 +42,7 @@ TEST(TwoLayerDeleteTest, RandomDeletionsMatchRebuiltIndex) {
       remaining.push_back(entries[k]);
     }
   }
+  EXPECT_TRUE(grid.CheckInvariants());
   for (const Box& w : testing::RandomWindows(60, 242)) {
     testing::CheckWindowAgainstBruteForce(grid, remaining, w, "post-delete");
   }
@@ -68,6 +69,7 @@ TEST(TwoLayerDeleteTest, InterleavedInsertDelete) {
       alive.pop_back();
     }
   }
+  EXPECT_TRUE(grid.CheckInvariants());
   for (const Box& w : testing::RandomWindows(50, 246)) {
     testing::CheckWindowAgainstBruteForce(grid, alive, w, "interleaved");
   }
@@ -79,6 +81,20 @@ TEST(TwoLayerDeleteTest, DeleteWithWrongBoxFails) {
   // A box in a disjoint tile range cannot locate the entry.
   EXPECT_FALSE(grid.Delete(3, Box{0.8, 0.8, 0.9, 0.9}));
   EXPECT_TRUE(grid.Delete(3, Box{0.1, 0.1, 0.15, 0.15}));
+}
+
+TEST(TwoLayerDeleteTest, CheckInvariantsCatchesOrphanReplicas) {
+  // A box sharing only the lower-corner tile with the stored one finds and
+  // removes the class-A replica but leaves the one in tile (1,0) behind;
+  // re-inserting the object then stores that tile's replica twice.
+  TwoLayerGrid grid(GridLayout(kUnit, 4, 4));
+  const Box stored{0.1, 0.1, 0.4, 0.2};
+  grid.Insert(BoxEntry{stored, 7});
+  ASSERT_TRUE(grid.CheckInvariants());
+  EXPECT_TRUE(grid.Delete(7, Box{0.1, 0.1, 0.2, 0.2}));
+  EXPECT_FALSE(grid.CheckInvariants()) << "orphan replica in tile (1,0)";
+  grid.Insert(BoxEntry{stored, 7});
+  EXPECT_FALSE(grid.CheckInvariants()) << "tile (1,0) holds id 7 twice";
 }
 
 TEST(TwoLayerPlusDeleteTest, DeleteRemovesEntryFromSortedTables) {

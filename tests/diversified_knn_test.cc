@@ -101,58 +101,6 @@ void ExpectNoDuplicateIds(const std::vector<RankedEntry>& v) {
       << "duplicate ids in diversified-kNN result";
 }
 
-TEST(KnnEntriesTest, MatchesBruteForceOnRandomData) {
-  const auto data = testing::RandomEntries(800, 0.05, 511);
-  TwoLayerGrid grid(GridLayout(kUnit, 16, 16));
-  grid.Build(data);
-  Rng rng(512);
-  for (int t = 0; t < 25; ++t) {
-    const Point q{rng.NextDouble() * 1.6 - 0.3, rng.NextDouble() * 1.6 - 0.3};
-    const std::size_t k = 1 + rng.NextBelow(60);
-    EXPECT_EQ(KnnEntries(grid, q, k), BruteForcePool(data, q, k))
-        << "q=(" << q.x << "," << q.y << ") k=" << k;
-  }
-}
-
-TEST(KnnEntriesTest, PredicateCountsOnlyMatchingCandidates) {
-  const auto data = testing::RandomEntries(600, 0.05, 513);
-  TwoLayerGrid grid(GridLayout(kUnit, 16, 16));
-  grid.Build(data);
-  const EntryPredicate keep = [](const BoxEntry& e) {
-    return e.id % 5 == 0;
-  };
-  Rng rng(514);
-  for (int t = 0; t < 15; ++t) {
-    const Point q{rng.NextDouble(), rng.NextDouble()};
-    const std::size_t k = 1 + rng.NextBelow(30);
-    const auto got = KnnEntries(grid, q, k, keep);
-    EXPECT_EQ(got, BruteForcePool(data, q, k, keep));
-    // k nearest MATCHING objects, not matching members of the top-k: with
-    // 1-in-5 selectivity the k matching results reach far beyond the
-    // unrestricted k-th distance.
-    for (const RankedEntry& r : got) EXPECT_EQ(r.entry.id % 5, 0u);
-  }
-}
-
-TEST(KnnEntriesTest, PredicateMatchingOnlyOutOfDomainEntries) {
-  // Only entries clamped outside the domain satisfy the predicate, so the
-  // doubling loop must run past the domain-derived stop radius into the
-  // final infinite-radius probe to find them.
-  auto data = testing::RandomEntries(100, 0.05, 515);
-  const Box outliers[] = {Box{-30, 0.2, -29, 0.4}, Box{0.3, 77, 0.4, 78},
-                          Box{12, -9, 13, -8}, Box{-5, -5, -4.5, -4.5}};
-  ObjectId next = 100;
-  for (const Box& b : outliers) data.push_back(BoxEntry{b, next++});
-  TwoLayerGrid grid(GridLayout(kUnit, 16, 16));
-  grid.Build(data);
-  const EntryPredicate far_only = [](const BoxEntry& e) {
-    return e.id >= 100;
-  };
-  const auto got = KnnEntries(grid, Point{0.5, 0.5}, 4, far_only);
-  EXPECT_EQ(got, BruteForcePool(data, Point{0.5, 0.5}, 4, far_only));
-  ASSERT_EQ(got.size(), 4u);
-}
-
 TEST(DivKnnTest, MatchesBruteForceAcrossLambdas) {
   const auto data = testing::RandomEntries(700, 0.05, 516);
   TwoLayerGrid grid(GridLayout(kUnit, 16, 16));

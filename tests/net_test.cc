@@ -14,6 +14,7 @@
 
 #include "common/mutex.h"
 #include "common/query_stats.h"
+#include "common/rng.h"
 #include "common/thread_annotations.h"
 #include "concurrency/versioned_grid.h"
 #include "core/two_layer_grid.h"
@@ -506,6 +507,109 @@ TEST_F(ServerTest, ConcurrentClientsAllGetTheirOwnAnswers) {
   EXPECT_EQ(AwaitOkCount(kTotal), kTotal);
 }
 
+// --- one evaluator: live and read-only replies agree --------------------------
+
+/// `json` without its query_seconds field, the one stats field that is
+/// wall time rather than a counter.
+std::string WithoutSeconds(std::string json) {
+  const std::size_t at = json.find("\"query_seconds\": ");
+  if (at != std::string::npos) json.erase(at, json.find(", ", at) + 2 - at);
+  return json;
+}
+
+/// Every read kind, with and without WHERE, WITH STATS, evaluated on the
+/// live index and on `sequential`, a plain grid that applied the same
+/// ops: the rows must be byte-identical. The stats must match too when
+/// the live delta window is empty — its base grid then holds exactly what
+/// `sequential` holds; with a pending window the base probes also count
+/// the entries the overlay hides.
+void ExpectLiveMatchesReadOnly(ConcurrentTwoLayerGrid& live,
+                               const TwoLayerGrid& sequential,
+                               const std::string& context) {
+  const bool window_empty = live.Acquire().overlay_size() == 0;
+  const char* queries[] = {
+      "SELECT WINDOW 0.2 0.2 0.6 0.6 WITH STATS",
+      "SELECT WINDOW 0 0 1 1 WHERE ID < 300 OR ID >= 5000 WITH STATS",
+      "SELECT DISK 0.5 0.5 0.15 WITH STATS",
+      "SELECT DISK 0.9 0.1 0.2 WHERE WIDTH > 0.01 WITH STATS",
+      "SELECT KNN 0.5 0.5 25 WITH STATS",
+      "SELECT KNN 0.05 0.95 7 WHERE ID >= 600 WITH STATS",
+      "SELECT SKYLINE 0.4 0.6 WITH STATS",
+      "SELECT SKYLINE 0.5 0.5 IN 0.25 0.25 0.75 0.75 WHERE AREA > 0.0001 "
+      "WITH STATS",
+      "SELECT DIVKNN 0.5 0.5 10 LAMBDA 0.4 WITH STATS",
+      "SELECT DIVKNN 0.2 0.8 6 LAMBDA 0.9 FETCH 48 WHERE ID != 11 WITH STATS",
+  };
+  for (const char* text : queries) {
+    Query q;
+    ParseError perr;
+    ASSERT_TRUE(ParseQuery(text, &q, &perr)) << text;
+    EvalResult from_live;
+    EvalResult from_grid;
+    ASSERT_TRUE(EvaluateQuery(live, q, &from_live).ok()) << text;
+    ASSERT_TRUE(EvaluateQuery(sequential, q, &from_grid).ok()) << text;
+    EXPECT_FALSE(from_grid.rows.empty()) << context << ": " << text;
+    EXPECT_EQ(EncodeOkReply(from_live.rows, ""),
+              EncodeOkReply(from_grid.rows, ""))
+        << context << ": " << text;
+    EXPECT_EQ(from_live.stats_json.empty(), !kQueryStatsEnabled) << text;
+    if (window_empty) {
+      EXPECT_EQ(WithoutSeconds(from_live.stats_json),
+                WithoutSeconds(from_grid.stats_json))
+          << context << ": " << text;
+    }
+  }
+}
+
+TEST(EvaluatorTest, LiveAndReadOnlyRepliesAgreeAcrossUpdates) {
+  const auto data = testing::RandomEntries(1200, 0.03, 995);
+  const GridLayout layout(Box{0, 0, 1, 1}, 16, 16);
+  TwoLayerGrid sequential(layout);
+  sequential.Build(data);
+  TwoLayerGrid base(layout);
+  base.Build(data);
+  ConcurrentTwoLayerGrid live(std::move(base));
+  ExpectLiveMatchesReadOnly(live, sequential, "empty window");
+
+  // Interleaved inserts of fresh ids, deletes (some re-inserted later with
+  // a new box), and deletes with a wrong box, which both sides must skip.
+  const auto extra = testing::RandomEntries(300, 0.05, 996);
+  std::vector<BoxEntry> alive = data;
+  std::vector<ObjectId> dead;
+  Rng rng(997);
+  for (std::size_t k = 0; k < extra.size(); ++k) {
+    const double dice = rng.NextDouble();
+    if (dice < 0.4) {
+      const BoxEntry e{extra[k].box, static_cast<ObjectId>(5000 + k)};
+      ASSERT_TRUE(live.Insert(e));
+      sequential.Insert(e);
+      alive.push_back(e);
+    } else if (dice < 0.5 && !dead.empty()) {
+      const BoxEntry e{extra[k].box, dead.back()};
+      dead.pop_back();
+      ASSERT_TRUE(live.Insert(e));
+      sequential.Insert(e);
+      alive.push_back(e);
+    } else {
+      const std::size_t victim = rng.NextBelow(alive.size());
+      const BoxEntry e = alive[victim];
+      const Box moved{e.box.xl + 0.3, e.box.yl, e.box.xu + 0.3, e.box.yu};
+      EXPECT_FALSE(live.Delete(e.id, moved));
+      if (dice > 0.9) continue;
+      ASSERT_TRUE(live.Delete(e.id, e.box));
+      ASSERT_TRUE(sequential.Delete(e.id, e.box));
+      alive[victim] = alive.back();
+      alive.pop_back();
+      dead.push_back(e.id);
+    }
+  }
+  ASSERT_GT(live.Acquire().overlay_size(), 0u);
+  ExpectLiveMatchesReadOnly(live, sequential, "pending window");
+  live.Flush();
+  ExpectLiveMatchesReadOnly(live, sequential, "flushed");
+  EXPECT_TRUE(live.Acquire().base().CheckInvariants());
+}
+
 // --- live (mutable) server ---------------------------------------------------
 
 TEST(LiveServerTest, InsertDeleteRoundTripAndVisibility) {
@@ -553,6 +657,30 @@ TEST(LiveServerTest, InsertDeleteRoundTripAndVisibility) {
   EXPECT_EQ(server.counters().updates_applied, 2u);
   EXPECT_EQ(server.counters().queries_ok, 6u);
   EXPECT_EQ(live.live_count(), 200u);
+}
+
+TEST(LiveServerTest, DeleteWithAnotherBoxAnswersZero) {
+  ConcurrentTwoLayerGrid live(TwoLayerGrid(GridLayout(Box{0, 0, 1, 1}, 4, 4)));
+  QueryServer server(live, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  QueryClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  // Id 7 spans tiles (0,0) and (1,0); the DELETE names a box in (0,0)
+  // only, which must not be acknowledged (it would orphan a replica).
+  Reply reply;
+  ASSERT_TRUE(client.Execute("INSERT 7 0.1 0.1 0.4 0.2", &reply).ok());
+  EXPECT_EQ(reply.rows, std::vector<std::string>{"1"});
+  ASSERT_TRUE(client.Execute("DELETE 7 0.1 0.1 0.2 0.2", &reply).ok());
+  ASSERT_EQ(reply.kind, Reply::Kind::kOk);
+  EXPECT_EQ(reply.rows, std::vector<std::string>{"0"});
+  ASSERT_TRUE(
+      client.Execute("SELECT WINDOW 0.3 0.05 0.45 0.2", &reply).ok());
+  EXPECT_EQ(reply.rows, std::vector<std::string>{"7"});
+
+  server.Shutdown();
+  EXPECT_EQ(server.counters().updates_applied, 1u);  // the INSERT only
+  EXPECT_EQ(live.live_count(), 1u);
 }
 
 TEST(LiveServerTest, ReadOnlyServerRejectsUpdates) {

@@ -519,6 +519,29 @@ TEST(DurableGridTest, DuplicateAndMissingUpdatesAreNotLogged) {
   EXPECT_EQ(fx.log->next_seq(), 1u);
 }
 
+TEST(DurableGridTest, DeleteWithAnotherBoxIsNotLoggedAndRecoveryWorks) {
+  // Regression: a delete naming a live id with another box than its stored
+  // one used to be logged and acknowledged, and the replay then failed
+  // with "delete of non-live id", so the directory could not be recovered.
+  const std::string dir = FreshDir("wal_grid_wrong_box");
+  const Box stored{0.1, 0.1, 0.2, 0.2};
+  {
+    DurableFixture fx(dir, /*n=*/0);
+    bool applied = false;
+    ASSERT_TRUE(fx.live->InsertDurable(BoxEntry{stored, 7}, &applied).ok());
+    ASSERT_TRUE(applied);
+    // Once while id 7 is in the delta window, once merged into the base.
+    for (const bool merged : {false, true}) {
+      if (merged) fx.live->Flush();
+      ASSERT_TRUE(
+          fx.live->DeleteDurable(7, Box{0.8, 0.8, 0.9, 0.9}, &applied).ok());
+      EXPECT_FALSE(applied) << "merged=" << merged;
+      EXPECT_EQ(fx.log->next_seq(), 2u) << "merged=" << merged;
+    }
+  }
+  RecoverAndCheck(dir, Oracle{{7, stored}}, 1);
+}
+
 TEST(DurableGridTest, AttachWalAfterAnUpdateThrows) {
   const std::string dir = FreshDir("wal_grid_late");
   std::unique_ptr<DurableLog> log;
