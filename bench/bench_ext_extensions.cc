@@ -155,9 +155,7 @@ void RegisterAll() {
 int main(int argc, char** argv) {
   RegisterAll();
   benchmark::Initialize(&argc, argv);
-  tlp::bench::WarnIfStatsInstrumented();
-  benchmark::RunSpecifiedBenchmarks();
-  tlp::bench::PrintQueryStatsJson("ext");
+  tlp::bench::RunBenchmarksWithStats("ext");
   benchmark::Shutdown();
   return 0;
 }

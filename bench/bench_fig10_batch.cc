@@ -71,11 +71,8 @@ void RegisterAll() {
 int main(int argc, char** argv) {
   RegisterAll();
   benchmark::Initialize(&argc, argv);
-  tlp::bench::WarnIfStatsInstrumented();
-  tlp::bench::TrajectoryReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  tlp::bench::PrintQueryStatsJson("fig10");
-  tlp::bench::AppendBenchTrajectory("fig10_batch", reporter.records());
+  tlp::bench::AppendBenchTrajectory(
+      "fig10_batch", tlp::bench::RunBenchmarksWithStats("fig10"));
   benchmark::Shutdown();
   return 0;
 }

@@ -90,9 +90,7 @@ void RegisterAll() {
 int main(int argc, char** argv) {
   RegisterAll();
   benchmark::Initialize(&argc, argv);
-  tlp::bench::WarnIfStatsInstrumented();
-  benchmark::RunSpecifiedBenchmarks();
-  tlp::bench::PrintQueryStatsJson("fig11");
+  tlp::bench::RunBenchmarksWithStats("fig11");
   benchmark::Shutdown();
   return 0;
 }

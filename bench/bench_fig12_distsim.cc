@@ -101,9 +101,7 @@ void RegisterAll() {
 int main(int argc, char** argv) {
   RegisterAll();
   benchmark::Initialize(&argc, argv);
-  tlp::bench::WarnIfStatsInstrumented();
-  benchmark::RunSpecifiedBenchmarks();
-  tlp::bench::PrintQueryStatsJson("fig12");
+  tlp::bench::RunBenchmarksWithStats("fig12");
   benchmark::Shutdown();
   return 0;
 }

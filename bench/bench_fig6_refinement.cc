@@ -9,7 +9,7 @@
 
 #include "benchmark/benchmark.h"
 
-#include "bench/bench_util.h"
+#include "bench/bench_common.h"
 #include "common/env.h"
 #include "core/refinement.h"
 
@@ -136,9 +136,7 @@ void RegisterAll() {
 int main(int argc, char** argv) {
   RegisterAll();
   benchmark::Initialize(&argc, argv);
-  tlp::bench::WarnIfStatsInstrumented();
-  benchmark::RunSpecifiedBenchmarks();
-  tlp::bench::PrintQueryStatsJson("fig6");
+  tlp::bench::RunBenchmarksWithStats("fig6");
   benchmark::Shutdown();
   return 0;
 }

@@ -115,9 +115,7 @@ void RegisterAll() {
 int main(int argc, char** argv) {
   RegisterAll();
   benchmark::Initialize(&argc, argv);
-  tlp::bench::WarnIfStatsInstrumented();
-  benchmark::RunSpecifiedBenchmarks();
-  tlp::bench::PrintQueryStatsJson("fig7");
+  tlp::bench::RunBenchmarksWithStats("fig7");
   benchmark::Shutdown();
   return 0;
 }

@@ -46,9 +46,7 @@ void RegisterAll() {
 int main(int argc, char** argv) {
   RegisterAll();
   benchmark::Initialize(&argc, argv);
-  tlp::bench::WarnIfStatsInstrumented();
-  benchmark::RunSpecifiedBenchmarks();
-  tlp::bench::PrintQueryStatsJson("fig8");
+  tlp::bench::RunBenchmarksWithStats("fig8");
   benchmark::Shutdown();
   return 0;
 }

@@ -134,11 +134,8 @@ void RegisterAll() {
 int main(int argc, char** argv) {
   RegisterAll();
   benchmark::Initialize(&argc, argv);
-  tlp::bench::WarnIfStatsInstrumented();
-  tlp::bench::TrajectoryReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  tlp::bench::PrintQueryStatsJson("fig9");
-  tlp::bench::AppendBenchTrajectory("fig9_synthetic", reporter.records());
+  tlp::bench::AppendBenchTrajectory(
+      "fig9_synthetic", tlp::bench::RunBenchmarksWithStats("fig9"));
   benchmark::Shutdown();
   return 0;
 }

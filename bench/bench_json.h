@@ -17,7 +17,7 @@
 //     ]
 //   }
 //
-// so a before/after pair (e.g. a TLP_SIMD=OFF and a TLP_SIMD=ON build) can
+// so a before/after pair (e.g. builds of two commits) can
 // be diffed with tools/bench_compare.py. The run label comes from
 // TLP_BENCH_LABEL. Without TLP_BENCH_JSON everything here is a no-op and
 // the bench binaries behave exactly as before.
@@ -53,6 +53,7 @@ class TrajectoryReporter : public benchmark::ConsoleReporter {
   void ReportRuns(const std::vector<Run>& report) override {
     for (const Run& run : report) {
       if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
+      measured_seconds_ += run.real_accumulated_time;
       BenchRecord rec;
       rec.name = run.benchmark_name();
       rec.real_time = run.GetAdjustedRealTime();
@@ -66,9 +67,12 @@ class TrajectoryReporter : public benchmark::ConsoleReporter {
   }
 
   const std::vector<BenchRecord>& records() const { return records_; }
+  /// Seconds the benchmark library timed across every recorded run.
+  double measured_seconds() const { return measured_seconds_; }
 
  private:
   std::vector<BenchRecord> records_;
+  double measured_seconds_ = 0;
 };
 
 namespace json_internal {

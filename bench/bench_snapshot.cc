@@ -46,16 +46,18 @@ std::pair<double, std::size_t> FirstQuery(const tlp::SpatialIndex& index,
   return {Now() - t0, out.size()};
 }
 
-std::size_t RunWorkload(const tlp::SpatialIndex& index,
-                        const std::vector<tlp::Box>& windows) {
+/// The steady-state workload: returns (seconds, total result count).
+std::pair<double, std::size_t> RunWorkload(
+    const tlp::SpatialIndex& index, const std::vector<tlp::Box>& windows) {
   std::vector<tlp::ObjectId> out;
   std::size_t results = 0;
+  const double t0 = Now();
   for (const tlp::Box& w : windows) {
     out.clear();
     index.WindowQuery(w, &out);
     results += out.size();
   }
-  return results;
+  return {Now() - t0, results};
 }
 
 }  // namespace
@@ -85,8 +87,9 @@ int main() {
   built->Build(data);
   const double build_seconds = Now() - t0;
   const auto [build_fq_seconds, fq_results] = FirstQuery(*built, windows[0]);
-  RunWorkload(*built, windows);
-  tlp::bench::PrintQueryStatsJson("snapshot_build");
+  const double build_workload_seconds = RunWorkload(*built, windows).first;
+  tlp::bench::PrintQueryStatsJson("snapshot_build",
+                                  build_fq_seconds + build_workload_seconds);
 
   t0 = Now();
   tlp::Status s = built->Save(path);
@@ -110,8 +113,9 @@ int main() {
   }
   const auto [load_fq_seconds, load_fq_results] =
       FirstQuery(*loaded, windows[0]);
-  const std::size_t owned_results = RunWorkload(*loaded, windows);
-  tlp::bench::PrintQueryStatsJson("snapshot_load_owned");
+  const auto [owned_seconds, owned_results] = RunWorkload(*loaded, windows);
+  tlp::bench::PrintQueryStatsJson("snapshot_load_owned",
+                                  load_fq_seconds + owned_seconds);
   loaded.reset();
 
   // --- Variant 3: LoadMapped() — zero-copy, O(pages touched).
@@ -126,8 +130,9 @@ int main() {
   }
   const auto [mmap_fq_seconds, mmap_fq_results] =
       FirstQuery(*mapped, windows[0]);
-  const std::size_t mapped_results = RunWorkload(*mapped, windows);
-  tlp::bench::PrintQueryStatsJson("snapshot_load_mmap");
+  const auto [mapped_seconds, mapped_results] = RunWorkload(*mapped, windows);
+  tlp::bench::PrintQueryStatsJson("snapshot_load_mmap",
+                                  mmap_fq_seconds + mapped_seconds);
   mapped.reset();
 
   if (owned_results != mapped_results || load_fq_results != mmap_fq_results ||

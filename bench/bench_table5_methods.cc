@@ -25,9 +25,7 @@ void RegisterAll() {
 int main(int argc, char** argv) {
   RegisterAll();
   benchmark::Initialize(&argc, argv);
-  tlp::bench::WarnIfStatsInstrumented();
-  benchmark::RunSpecifiedBenchmarks();
-  tlp::bench::PrintQueryStatsJson("table5");
+  tlp::bench::RunBenchmarksWithStats("table5");
   benchmark::Shutdown();
   return 0;
 }

@@ -60,9 +60,7 @@ void RegisterAll() {
 int main(int argc, char** argv) {
   RegisterAll();
   benchmark::Initialize(&argc, argv);
-  tlp::bench::WarnIfStatsInstrumented();
-  benchmark::RunSpecifiedBenchmarks();
-  tlp::bench::PrintQueryStatsJson("table6");
+  tlp::bench::RunBenchmarksWithStats("table6");
   benchmark::Shutdown();
   return 0;
 }

@@ -32,11 +32,11 @@ namespace tlp {
 ///    identical — same per-tile contents in the same order — for every
 ///    thread count.
 ///
-/// Observability: when the library is compiled with TLP_STATS=ON (see
-/// common/query_stats.h), the grid indices account per-query operation
-/// counts — tiles visited, entries scanned per class, comparisons, duplicate
-/// handling, refinement hits/misses, wall-clock — into the calling thread's
-/// accumulator. Callers sample it with ResetQueryStats() / GetQueryStats();
+/// Observability: the grid indices account per-query operation counts
+/// (common/query_stats.h) — tiles visited, entries scanned per class,
+/// planned comparisons, duplicate handling, refinement hits/misses — into
+/// the calling thread's accumulator, in every build. Callers sample it with
+/// ResetQueryStats() / GetQueryStats();
 /// BatchExecutor merges its workers' counters into the caller on Wait().
 class SpatialIndex {
  public:

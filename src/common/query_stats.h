@@ -1,7 +1,6 @@
 #ifndef TLP_COMMON_QUERY_STATS_H_
 #define TLP_COMMON_QUERY_STATS_H_
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -13,12 +12,14 @@ namespace tlp {
 /// (never generated, so never eliminated), and §IV promises fewer secondary
 /// partitions touched per tile; these counters make all three measurable.
 ///
-/// The layer is compile-time gated: with the CMake option TLP_STATS=ON
-/// (default) every query path accounts into the calling thread's accumulator
-/// via the TLP_STATS_* macros below; with TLP_STATS=OFF the macros expand to
-/// `(void)0` and the query hot loops compile exactly as if this header did
-/// not exist. Tests and CI run with stats on; publication-grade benchmark
-/// runs should use -DTLP_STATS=OFF.
+/// The counters are always on. Hot paths account once per scanned segment
+/// (a tile's class partition, a sorted-table range), never once per entry,
+/// so the SIMD kernels and the counters run in the same build: a segment of
+/// n entries scanned under a §IV-B comparison mask m adds n * popcount(m)
+/// planned comparisons, whether the scan short-circuits per entry or
+/// decides four entries at once. Query entry points count `queries` but
+/// read no clock; `query_seconds` is filled by the callers that report it
+/// (the WITH STATS reply, tlp_snapshot, the bench TLP_QUERY_STATS lines).
 ///
 /// Threading model: one accumulator per thread (thread_local). Code that
 /// fans a query batch out to worker threads (BatchExecutor) drains each
@@ -26,7 +27,7 @@ namespace tlp {
 /// caller observes batch-wide totals regardless of thread count.
 struct QueryStats {
   /// Index-level queries executed (WindowQuery / DiskQuery /
-  /// WindowCandidates / DiskQueryEntries calls).
+  /// WindowCandidates / DiskQueryEntries / SkylineQuery calls).
   std::uint64_t queries = 0;
   /// Non-empty tiles whose contents were examined.
   std::uint64_t tiles_visited = 0;
@@ -35,8 +36,9 @@ struct QueryStats {
   std::uint64_t scanned_class[4] = {0, 0, 0, 0};
   /// Entries scanned in unclassified (flat 1-layer / quad-tree style) tiles.
   std::uint64_t scanned_flat = 0;
-  /// Per-entry predicate evaluations actually executed: §IV-B endpoint
-  /// comparisons and per-entry MBR distance tests.
+  /// Planned per-entry predicate evaluations: §IV-B endpoint comparisons
+  /// (entries x comparisons in the segment's mask, Table II's count, even
+  /// where a scalar loop short-circuits) and per-entry MBR distance tests.
   std::uint64_t comparisons = 0;
   /// Probes spent in sorted-table binary searches (2-layer+, §IV-C);
   /// one search over n entries accounts ceil(log2(n))+1 probes.
@@ -56,7 +58,8 @@ struct QueryStats {
   /// an exact geometry test (hits) vs. ones needing the exact test (misses).
   std::uint64_t refine_hits = 0;
   std::uint64_t refine_misses = 0;
-  /// Wall-clock seconds spent inside timed query entry points.
+  /// Wall-clock seconds, filled by the reporting caller (the core reads no
+  /// clock); docs/BENCHMARKING.md says what each reporter measures.
   double query_seconds = 0;
 
   /// Total entries scanned across classed and flat partitions.
@@ -72,17 +75,11 @@ struct QueryStats {
   std::string ToJson(const std::string& label) const;
 };
 
-/// True when the library was compiled with the stats layer (TLP_STATS=ON).
-#ifdef TLP_STATS_ENABLED
+/// Always true: every build carries the counters. Kept so callers that
+/// print the JSON "enabled" field need no change.
 inline constexpr bool kQueryStatsEnabled = true;
-#else
-inline constexpr bool kQueryStatsEnabled = false;
-#endif
 
-#ifdef TLP_STATS_ENABLED
-
-/// The calling thread's accumulator. Hot paths reach it through the macros
-/// below only, so the disabled build contains no reference to it.
+/// The calling thread's accumulator.
 inline QueryStats& CurrentQueryStats() {
   thread_local QueryStats stats;
   return stats;
@@ -108,50 +105,11 @@ inline void DrainQueryStatsInto(QueryStats* sink) {
   ResetQueryStats();
 }
 
-namespace stats_internal {
-
-/// RAII per-query timer: counts one query and its wall-clock on destruction.
-class ScopedQueryTimer {
- public:
-  ScopedQueryTimer() : start_(std::chrono::steady_clock::now()) {}
-  ScopedQueryTimer(const ScopedQueryTimer&) = delete;
-  ScopedQueryTimer& operator=(const ScopedQueryTimer&) = delete;
-  ~ScopedQueryTimer() {
-    QueryStats& s = CurrentQueryStats();
-    ++s.queries;
-    s.query_seconds += std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start_)
-                           .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
-
-}  // namespace stats_internal
-
 #define TLP_STATS_ADD(field, amount) \
   ((void)(::tlp::CurrentQueryStats().field += (amount)))
 #define TLP_STATS_CLASS_SCANNED(class_index, amount) \
   ((void)(::tlp::CurrentQueryStats()                 \
               .scanned_class[static_cast<int>(class_index)] += (amount)))
-#define TLP_STATS_QUERY_TIMER() \
-  ::tlp::stats_internal::ScopedQueryTimer tlp_stats_query_timer_guard_
-
-#else  // !TLP_STATS_ENABLED
-
-/// Disabled-build stubs: callers (tests, benches, batch merge) can stay
-/// unconditional; everything folds to nothing.
-inline void ResetQueryStats() {}
-inline QueryStats GetQueryStats() { return QueryStats{}; }
-inline void MergeQueryStats(const QueryStats&) {}
-inline void DrainQueryStatsInto(QueryStats*) {}
-
-#define TLP_STATS_ADD(field, amount) ((void)0)
-#define TLP_STATS_CLASS_SCANNED(class_index, amount) ((void)0)
-#define TLP_STATS_QUERY_TIMER() ((void)0)
-
-#endif  // TLP_STATS_ENABLED
 
 }  // namespace tlp
 

@@ -55,6 +55,7 @@ std::vector<RankedEntry> DiversifiedReRank(const std::vector<RankedEntry>& pool,
     if (out.size() == want) break;
     std::size_t best = n;
     double best_score = 0;
+    TLP_STATS_ADD(comparisons, n - out.size());  // one score per untaken
     for (std::size_t i = 0; i < n; ++i) {
       if (taken[i]) continue;
       const Coord d =
@@ -62,7 +63,6 @@ std::vector<RankedEntry> DiversifiedReRank(const std::vector<RankedEntry>& pool,
       if (d < min_center[i]) min_center[i] = d;
       const double score =
           lambda * min_center[i] - (1.0 - lambda) * pool[i].distance;
-      TLP_STATS_ADD(comparisons, 1);
       // Strictly greater wins; ties keep the earlier pool position, i.e.
       // (distance, id) order — the deterministic tie-break.
       if (best == n || score > best_score) {

@@ -10,7 +10,7 @@ namespace tlp {
 std::vector<SkylineEntry> SkylineQuery(const TwoLayerGrid& grid,
                                        const Point& q, const Box* region,
                                        const EntryPredicate& keep) {
-  TLP_STATS_QUERY_TIMER();
+  TLP_STATS_ADD(queries, 1);
   std::vector<SkylineEntry> sky;
   if (region != nullptr && region->IsEmpty()) return sky;
 
@@ -19,7 +19,6 @@ std::vector<SkylineEntry> SkylineQuery(const TwoLayerGrid& grid,
   // The skyline of a set is unique, so arrival order never changes the
   // final contents — only how much pruning the tile bounds achieve.
   const auto consider = [&](const BoxEntry& e) {
-    TLP_STATS_ADD(comparisons, 1);
     if (region != nullptr && !e.box.Intersects(*region)) return;
     if (keep && !keep(e)) return;
     const Coord dx = SkylineAxisDistance(e.box.xl, e.box.xu, q.x);
@@ -59,6 +58,7 @@ std::vector<SkylineEntry> SkylineQuery(const TwoLayerGrid& grid,
     if (n == 0) return;  // no class-A entry, or a stale extent
     TLP_STATS_ADD(tiles_visited, 1);
     TLP_STATS_CLASS_SCANNED(ObjectClass::kA, n);
+    TLP_STATS_ADD(comparisons, n);
     for (std::size_t k = 0; k < n; ++k) consider(p[k]);
   };
 

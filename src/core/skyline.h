@@ -49,7 +49,7 @@ struct SkylineEntry {
 /// Duplicate-free by construction: the candidates are the class-A
 /// secondary partitions (every object belongs to class A of exactly one
 /// tile — the one holding its MBR's lower corner), each read once. No
-/// post-hoc deduplication ever runs (asserted via TLP_STATS in tests).
+/// post-hoc deduplication ever runs (asserted via the query counters in tests).
 ///
 /// Index acceleration: the grid keeps the union MBR of every tile's
 /// class-A entries (TwoLayerGrid::class_a_extents()). The extent's own

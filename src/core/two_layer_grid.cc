@@ -343,34 +343,35 @@ void TwoLayerGrid::WindowQueryTile(std::uint32_t i, std::uint32_t j,
   const Tile& tile = tiles_[layout_.TileId(i, j)];
   if (tile.empty()) return;
   TLP_STATS_ADD(tiles_visited, 1);
+  const std::size_t first_result = out->size();
   const bool first_col = i == range.i0;
   const bool first_row = j == range.j0;
   const unsigned mask =
       TileComparisonMask(first_col, i == range.i1, first_row, j == range.j1);
-#ifdef TLP_SIMD_HOT_SCANS
   if (mask == 0 && !first_col && !first_row) {
     // Interior tile: only class A is scanned and every entry qualifies
     // without a comparison, so append the segment's id column in one growth
     // step instead of a capacity-checked push per entry. Interior tiles are
     // the bulk of any multi-tile window, and this emit loop is its hot spot.
+    // The counters match ScanTile's: class A scanned, B/C/D avoided.
     const std::size_t seg = SegmentOf(ObjectClass::kA);
     const BoxEntry* p = tile.entries.data() + tile.begin[seg];
     const std::size_t n = tile.begin[seg + 1] - tile.begin[seg];
-    const std::size_t base = out->size();
-    out->resize(base + n);
-    ObjectId* dst = out->data() + base;
+    TLP_STATS_CLASS_SCANNED(ObjectClass::kA, n);
+    TLP_STATS_ADD(duplicates_avoided, tile.entries.size() - n);
+    TLP_STATS_ADD(candidates, n);
+    out->resize(first_result + n);
+    ObjectId* dst = out->data() + first_result;
     for (std::size_t k = 0; k < n; ++k) dst[k] = p[k].id;
     return;
   }
-#endif  // TLP_SIMD_HOT_SCANS
-  ScanTile(tile, w, mask, first_col, first_row, [&](const BoxEntry& e) {
-    TLP_STATS_ADD(candidates, 1);
-    out->push_back(e.id);
-  });
+  ScanTile(tile, w, mask, first_col, first_row,
+           [&](const BoxEntry& e) { out->push_back(e.id); });
+  TLP_STATS_ADD(candidates, out->size() - first_result);
 }
 
 void TwoLayerGrid::WindowQuery(const Box& w, std::vector<ObjectId>* out) const {
-  TLP_STATS_QUERY_TIMER();
+  TLP_STATS_ADD(queries, 1);
   const TileRange range = layout_.TilesFor(w);
   for (std::uint32_t j = range.j0; j <= range.j1; ++j) {
     ForEachOccupiedColumn(
@@ -381,7 +382,8 @@ void TwoLayerGrid::WindowQuery(const Box& w, std::vector<ObjectId>* out) const {
 
 void TwoLayerGrid::WindowCandidates(const Box& w,
                                     std::vector<Candidate>* out) const {
-  TLP_STATS_QUERY_TIMER();
+  TLP_STATS_ADD(queries, 1);
+  const std::size_t first_result = out->size();
   const TileRange range = layout_.TilesFor(w);
   for (std::uint32_t j = range.j0; j <= range.j1; ++j) {
     ForEachOccupiedColumn(
@@ -400,12 +402,12 @@ void TwoLayerGrid::WindowCandidates(const Box& w,
           const bool y_implied = !first_row;
           ScanTile(tile, w, mask, first_col, first_row,
                    [&](const BoxEntry& e) {
-                     TLP_STATS_ADD(candidates, 1);
                      out->push_back(Candidate{e.id, e.box, x_implied,
                                               y_implied});
                    });
         });
   }
+  TLP_STATS_ADD(candidates, out->size() - first_result);
 }
 
 template <typename Emit>
@@ -509,10 +511,10 @@ void TwoLayerGrid::ForEachDiskResult(const Point& q, Coord radius,
         const BoxEntry* p = data + tile.begin[k];
         const std::size_t n = tile.begin[k + 1] - tile.begin[k];
         TLP_STATS_CLASS_SCANNED(c, n);
+        if (!covered) TLP_STATS_ADD(comparisons, n);
         for (std::size_t s = 0; s < n; ++s) {
           const BoxEntry& e = p[s];
           if (!covered) {
-            TLP_STATS_ADD(comparisons, 1);
             const Coord d = e.box.MinDistanceTo(q);
             if (d > radius || (annulus && d <= min_radius)) continue;
           }
@@ -552,21 +554,21 @@ void TwoLayerGrid::ForEachDiskResult(const Point& q, Coord radius,
 
 void TwoLayerGrid::DiskQuery(const Point& q, Coord radius,
                              std::vector<ObjectId>* out) const {
-  TLP_STATS_QUERY_TIMER();
-  ForEachDiskResult(q, radius, /*min_radius=*/-1, [&](const BoxEntry& e) {
-    TLP_STATS_ADD(candidates, 1);
-    out->push_back(e.id);
-  });
+  TLP_STATS_ADD(queries, 1);
+  const std::size_t first_result = out->size();
+  ForEachDiskResult(q, radius, /*min_radius=*/-1,
+                    [&](const BoxEntry& e) { out->push_back(e.id); });
+  TLP_STATS_ADD(candidates, out->size() - first_result);
 }
 
 void TwoLayerGrid::DiskQueryEntries(const Point& q, Coord radius,
                                     std::vector<BoxEntry>* out,
                                     Coord min_radius) const {
-  TLP_STATS_QUERY_TIMER();
-  ForEachDiskResult(q, radius, min_radius, [&](const BoxEntry& e) {
-    TLP_STATS_ADD(candidates, 1);
-    out->push_back(e);
-  });
+  TLP_STATS_ADD(queries, 1);
+  const std::size_t first_result = out->size();
+  ForEachDiskResult(q, radius, min_radius,
+                    [&](const BoxEntry& e) { out->push_back(e); });
+  TLP_STATS_ADD(candidates, out->size() - first_result);
 }
 
 std::size_t TwoLayerGrid::SizeBytes() const {

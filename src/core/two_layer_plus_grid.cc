@@ -342,7 +342,6 @@ void TwoLayerPlusGrid::EvaluateClass(const TileTables& tt, ObjectClass c,
   TLP_STATS_ADD(binary_search_probes, std::bit_width(table.size()));
   std::size_t begin = 0;
   std::size_t end = table.size();
-#ifdef TLP_SIMD_ENABLED
   // Branchless probes (conditional-move steps + prefetch) return exactly the
   // std::lower_bound / std::upper_bound indices; see common/
   // branchless_search.h.
@@ -352,19 +351,6 @@ void TwoLayerPlusGrid::EvaluateClass(const TileTables& tt, ObjectClass c,
   } else {
     end = BranchlessUpperBound(table.values.data(), table.size(), best.bound);
   }
-#else
-  if (best.ge) {
-    begin = static_cast<std::size_t>(
-        std::lower_bound(table.values.begin(), table.values.end(),
-                         best.bound) -
-        table.values.begin());
-  } else {
-    end = static_cast<std::size_t>(
-        std::upper_bound(table.values.begin(), table.values.end(),
-                         best.bound) -
-        table.values.begin());
-  }
-#endif
   TLP_STATS_CLASS_SCANNED(c, end - begin);
 
   const unsigned residual = mask & ~best.flag;
@@ -375,18 +361,21 @@ void TwoLayerPlusGrid::EvaluateClass(const TileTables& tt, ObjectClass c,
     return;
   }
   // Verify the remaining comparisons on the full MBR (fetched by id), as the
-  // paper does for two-comparison border tiles.
-#ifdef TLP_SIMD_HOT_SCANS
-  // The vector kernel pays off here (unlike the border-tile scans, which
-  // short-circuit predictably): a table range mixes passing and failing
-  // entries, so the scalar multi-compare loop mispredicts, while the
-  // transposed 4-box kernel decides four entries branch-free. Only
-  // worthwhile with two or more residual comparisons — a single compare
-  // is cheaper left scalar. The id -> MBR fetch is a random gather over
-  // the mbrs_ table; prefetch a group ahead so the misses overlap.
-  if (std::popcount(residual) >= 2) {
+  // paper does for two-comparison border tiles. The range's planned
+  // comparisons are accounted once, whichever loop below decides them.
+  const auto residual_count = static_cast<std::size_t>(std::popcount(residual));
+  TLP_STATS_ADD(comparisons, (end - begin) * residual_count);
+  const std::size_t first_result = out->size();
+  const ObjectId* ids = table.ids.data();
+  if (residual_count >= 2) {
+    // The vector kernel pays off here (unlike the border-tile scans, which
+    // short-circuit predictably): a table range mixes passing and failing
+    // entries, so the scalar multi-compare loop mispredicts, while the
+    // transposed 4-box kernel decides four entries branch-free. Only
+    // worthwhile with two or more residual comparisons — a single compare
+    // is cheaper left scalar. The id -> MBR fetch is a random gather over
+    // the mbrs_ table; prefetch a group ahead so the misses overlap.
     const simd::LaneBounds lb = LaneBoundsForMask(w, residual);
-    const ObjectId* ids = table.ids.data();
     constexpr std::size_t kVerifyPrefetchAhead = 8;
     std::size_t k = begin;
     for (; k + 4 <= end; k += 4) {
@@ -407,21 +396,19 @@ void TwoLayerPlusGrid::EvaluateClass(const TileTables& tt, ObjectClass c,
     for (; k < end; ++k) {
       if (simd::Matches(&mbrs_[ids[k]].xl, lb)) out->push_back(ids[k]);
     }
-    return;
-  }
-#endif  // TLP_SIMD_HOT_SCANS
-  for (std::size_t k = begin; k < end; ++k) {
-    const ObjectId id = table.ids[k];
-    if (PassesComparisonMask(mbrs_[id], w, residual)) {
-      TLP_STATS_ADD(candidates, 1);
-      out->push_back(id);
+  } else {
+    for (std::size_t k = begin; k < end; ++k) {
+      if (PassesComparisonMask(mbrs_[ids[k]], w, residual)) {
+        out->push_back(ids[k]);
+      }
     }
   }
+  TLP_STATS_ADD(candidates, out->size() - first_result);
 }
 
 void TwoLayerPlusGrid::WindowQuery(const Box& w,
                                    std::vector<ObjectId>* out) const {
-  TLP_STATS_QUERY_TIMER();
+  TLP_STATS_ADD(queries, 1);
   const GridLayout& g = record_.layout();
   const TileRange range = g.TilesFor(w);
   for (std::uint32_t j = range.j0; j <= range.j1; ++j) {

@@ -154,7 +154,7 @@ bool OneLayerGrid::Delete(ObjectId id, const Box& box) {
 
 void OneLayerGrid::WindowQuery(const Box& w,
                                std::vector<ObjectId>* out) const {
-  TLP_STATS_QUERY_TIMER();
+  TLP_STATS_ADD(queries, 1);
   const TileRange range = layout_.TilesFor(w);
   const std::size_t first_result = out->size();
   for (std::uint32_t j = range.j0; j <= range.j1; ++j) {
@@ -176,27 +176,25 @@ void OneLayerGrid::WindowQuery(const Box& w,
                               [&](const BoxEntry& e) {
                                 if (ReferencePointInTile(layout_, e.box, w, i,
                                                          j)) {
-                                  TLP_STATS_ADD(candidates, 1);
                                   out->push_back(e.id);
                                 } else {
                                   TLP_STATS_ADD(posthoc_dedup, 1);
                                 }
                               });
       } else {
-        ScanPartitionDispatch(mask, tile.data(), tile.size(), w,
-                              [&](const BoxEntry& e) {
-                                TLP_STATS_ADD(candidates, 1);
-                                out->push_back(e.id);
-                              });
+        ScanPartitionDispatch(
+            mask, tile.data(), tile.size(), w,
+            [&](const BoxEntry& e) { out->push_back(e.id); });
       }
     });
   }
+  TLP_STATS_ADD(candidates, out->size() - first_result);
   if (dedup_ == DedupPolicy::kHash) SortUniqueIds(out, first_result);
 }
 
 void OneLayerGrid::DiskQuery(const Point& q, Coord radius,
                              std::vector<ObjectId>* out) const {
-  TLP_STATS_QUERY_TIMER();
+  TLP_STATS_ADD(queries, 1);
   const Box mbr{q.x - radius, q.y - radius, q.x + radius, q.y + radius};
   const TileRange range = layout_.TilesFor(mbr);
   const std::size_t first_result = out->size();
@@ -230,12 +228,12 @@ void OneLayerGrid::DiskQuery(const Point& q, Coord radius,
           TLP_STATS_ADD(posthoc_dedup, 1);
           return;
         }
-        TLP_STATS_ADD(candidates, 1);
         out->push_back(e.id);
       };
       ScanPartitionDispatch(mask, tile.data(), tile.size(), mbr, handle);
     });
   }
+  TLP_STATS_ADD(candidates, out->size() - first_result);
   if (dedup_ == DedupPolicy::kHash) SortUniqueIds(out, first_result);
 }
 

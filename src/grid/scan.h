@@ -1,21 +1,13 @@
 #ifndef TLP_GRID_SCAN_H_
 #define TLP_GRID_SCAN_H_
 
+#include <bit>
 #include <cstddef>
 #include <limits>
 
 #include "common/query_stats.h"
 #include "common/simd.h"
 #include "geometry/box.h"
-
-// The vectorized scans below cannot carry the per-comparison accounting of
-// the scalar loops (a 4-lane kernel executes all four comparisons at once,
-// while the scalar plan short-circuits), so instrumented builds keep the
-// scalar dispatch and its exact counter semantics. Only stats-free builds
-// with a vector backend route queries through the SIMD kernels.
-#if defined(TLP_SIMD_VECTORIZED) && !defined(TLP_STATS_ENABLED)
-#define TLP_SIMD_HOT_SCANS 1
-#endif
 
 namespace tlp {
 
@@ -30,34 +22,31 @@ inline constexpr unsigned kCmpYlLeWyu = 8u;  // keep r iff r.yl <= W.yu
 
 /// Scans a partition applying exactly the comparisons in `Mask`, invoking
 /// `emit(entry)` for every surviving entry. The mask is a template parameter
-/// so each tile case compiles to a branch-minimal loop.
+/// so each tile case compiles to a branch-minimal loop. Accounts nothing:
+/// ScanPartitionDispatch counts the segment's planned comparisons.
 template <unsigned Mask, typename Emit>
 inline void ScanPartition(const BoxEntry* data, std::size_t n, const Box& w,
                           Emit&& emit) {
   for (std::size_t k = 0; k < n; ++k) {
     const BoxEntry& e = data[k];
     if constexpr ((Mask & kCmpXuGeWxl) != 0) {
-      TLP_STATS_ADD(comparisons, 1);
       if (e.box.xu < w.xl) continue;
     }
     if constexpr ((Mask & kCmpXlLeWxu) != 0) {
-      TLP_STATS_ADD(comparisons, 1);
       if (e.box.xl > w.xu) continue;
     }
     if constexpr ((Mask & kCmpYuGeWyl) != 0) {
-      TLP_STATS_ADD(comparisons, 1);
       if (e.box.yu < w.yl) continue;
     }
     if constexpr ((Mask & kCmpYlLeWyu) != 0) {
-      TLP_STATS_ADD(comparisons, 1);
       if (e.box.yl > w.yu) continue;
     }
     emit(e);
   }
 }
 
-// The SIMD kernel loads a BoxEntry's four coordinates as one lane vector
-// from &box.xl; pin the layout it relies on.
+// The 4-lane kernels (common/simd.h) load a box's four coordinates as one
+// lane vector from &box.xl; pin the layout they rely on.
 static_assert(offsetof(Box, xl) == 0 && offsetof(Box, yl) == sizeof(Coord) &&
                   offsetof(Box, xu) == 2 * sizeof(Coord) &&
                   offsetof(Box, yu) == 3 * sizeof(Coord),
@@ -83,60 +72,21 @@ inline simd::LaneBounds LaneBoundsForMask(const Box& w, unsigned mask) {
   return b;
 }
 
-/// Vectorized runtime-mask scan: one transposed 4-box kernel per group of
-/// four entries instead of 16 specialized loops; runs of all-miss and
-/// all-hit skip the per-entry bit walk. Emit order is identical to the
-/// scalar ScanPartition — ascending k, one emit per surviving entry
-/// (tests/simd_test.cc proves it differentially for all 16 masks).
-///
-/// Measured on the Fig. 9 workloads, the dispatcher below does NOT route
-/// through this kernel: border-tile scans are drop-heavy and spatially
-/// coherent, so the specialized scalar loops retire about one
-/// well-predicted comparison per entry and the transpose + movemask per
-/// group costs more than the comparisons it saves (the zipf 1-layer rows
-/// regressed up to 45% when corner tiles took this path). It stays as the
-/// tested building block for evaluation paths with different shapes — the
-/// 2-layer+ residual verification uses the same kernels per entry, where
-/// mixed pass/fail outcomes defeat the branch predictor.
-template <typename Emit>
-inline void ScanPartitionSimd(unsigned mask, const BoxEntry* data,
-                              std::size_t n, const Box& w, Emit&& emit) {
-  mask &= 15u;
-  if (mask == 0) {
-    for (std::size_t k = 0; k < n; ++k) emit(data[k]);
-    return;
-  }
-  if (n == 0) return;
-  const simd::LaneBounds lb = LaneBoundsForMask(w, mask);
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const Coord* lanes[4] = {&data[k].box.xl, &data[k + 1].box.xl,
-                             &data[k + 2].box.xl, &data[k + 3].box.xl};
-    const unsigned hits = simd::MatchesMask4(lanes, lb);
-    if (hits == 0) continue;
-    if (hits == 15u) {
-      emit(data[k]);
-      emit(data[k + 1]);
-      emit(data[k + 2]);
-      emit(data[k + 3]);
-      continue;
-    }
-    for (unsigned s = 0; s < 4; ++s) {
-      if ((hits >> s) & 1u) emit(data[k + s]);
-    }
-  }
-  for (; k < n; ++k) {
-    if (simd::Matches(&data[k].box.xl, lb)) emit(data[k]);
-  }
-}
-
 /// Runtime-mask dispatcher over the 16 ScanPartition instantiations. Every
-/// mask keeps its specialized short-circuit scalar loop — see the
-/// ScanPartitionSimd note for the measurement behind that choice.
+/// mask keeps its specialized short-circuit scalar loop: border-tile scans
+/// are drop-heavy and spatially coherent, so the scalar loops retire about
+/// one well-predicted comparison per entry, and a transposed 4-box kernel
+/// (simd::MatchesMask4) costs more than the comparisons it saves there
+/// (zipf 1-layer Fig. 9 rows regressed up to 45% when corner tiles took
+/// it). The segment's planned comparisons, n * popcount(mask), are
+/// accounted here once (Table II's count).
 template <typename Emit>
 inline void ScanPartitionDispatch(unsigned mask, const BoxEntry* data,
                                   std::size_t n, const Box& w, Emit&& emit) {
-  switch (mask & 15u) {
+  mask &= 15u;
+  TLP_STATS_ADD(comparisons,
+                n * static_cast<std::size_t>(std::popcount(mask)));
+  switch (mask) {
 #define TLP_SCAN_CASE(M) \
   case M:                \
     ScanPartition<M>(data, n, w, emit); \
@@ -162,21 +112,18 @@ inline void ScanPartitionDispatch(unsigned mask, const BoxEntry* data,
 }
 
 /// True iff `b` passes every comparison in `mask` against window `w`.
+/// Accounts nothing; callers count their segment's planned comparisons.
 inline bool PassesComparisonMask(const Box& b, const Box& w, unsigned mask) {
   if ((mask & kCmpXuGeWxl) != 0) {
-    TLP_STATS_ADD(comparisons, 1);
     if (b.xu < w.xl) return false;
   }
   if ((mask & kCmpXlLeWxu) != 0) {
-    TLP_STATS_ADD(comparisons, 1);
     if (b.xl > w.xu) return false;
   }
   if ((mask & kCmpYuGeWyl) != 0) {
-    TLP_STATS_ADD(comparisons, 1);
     if (b.yu < w.yl) return false;
   }
   if ((mask & kCmpYlLeWyu) != 0) {
-    TLP_STATS_ADD(comparisons, 1);
     if (b.yl > w.yu) return false;
   }
   return true;

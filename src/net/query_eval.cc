@@ -1,8 +1,10 @@
 #include "net/query_eval.h"
 
 #include <cstdint>
+#include <optional>
 
 #include "common/query_stats.h"
+#include "common/timer.h"
 #include "core/diversified_knn.h"
 #include "core/skyline.h"
 #include "wal/durable_log.h"
@@ -93,7 +95,13 @@ Status EvaluateRead(const ConcurrentTwoLayerGrid::Snapshot& snap,
   if (Status s = CheckCounts(q); !s.ok()) return s;
   out->rows.clear();
   out->stats_json.clear();
-  if (q.with_stats) ResetQueryStats();
+  // WITH STATS: this query's counters alone, plus one clock pair around the
+  // evaluation (the core reads no clock).
+  std::optional<Stopwatch> clock;
+  if (q.with_stats) {
+    ResetQueryStats();
+    clock.emplace();
+  }
   const EntryPredicate keep = CompileWhere(q.where.get());
 
   switch (q.kind) {
@@ -133,8 +141,10 @@ Status EvaluateRead(const ConcurrentTwoLayerGrid::Snapshot& snap,
       return Status::InvalidArgument("not a read");
   }
 
-  if (q.with_stats && kQueryStatsEnabled) {
-    out->stats_json = GetQueryStats().ToJson(StatsLabel(q.kind));
+  if (clock.has_value()) {
+    QueryStats stats = GetQueryStats();
+    stats.query_seconds = clock->ElapsedSeconds();
+    out->stats_json = stats.ToJson(StatsLabel(q.kind));
   }
   return Status::OK();
 }

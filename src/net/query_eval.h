@@ -27,14 +27,14 @@ namespace tlp::net {
 
 struct EvalResult {
   std::vector<std::string> rows;
-  /// One-line QueryStats JSON for this query alone; empty unless the
-  /// query said WITH STATS (always empty in a TLP_STATS=OFF build — the
-  /// reply then carries no STATS line, which clients must tolerate).
+  /// One-line QueryStats JSON for this query alone; set exactly when the
+  /// query said WITH STATS. Its query_seconds is the wall time of this
+  /// evaluation, rows included.
   std::string stats_json;
 };
 
 /// Evaluates `q` against `grid`. WITH STATS resets and reads the calling
-/// thread's TLP_STATS accumulator, so the reported counters cover exactly
+/// thread's query-stats accumulator, so the reported counters cover exactly
 /// this query. Returns kInvalidArgument for resource-insane parameters
 /// (k or fetch beyond 2^32) — the "eval" error class on the wire.
 [[nodiscard]] Status EvaluateQuery(const TwoLayerGrid& grid, const Query& q,

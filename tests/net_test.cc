@@ -224,15 +224,11 @@ TEST_F(ServerTest, WithStatsAttachesPerQueryCounters) {
       client.Execute("SELECT WINDOW 0.1 0.1 0.9 0.9 WITH STATS", &reply)
           .ok());
   ASSERT_EQ(reply.kind, Reply::Kind::kOk);
-  if (kQueryStatsEnabled) {
-    ASSERT_FALSE(reply.stats_json.empty());
-    EXPECT_NE(reply.stats_json.find("serve/window"), std::string::npos);
-    // Two-layer invariant, now visible per query over the wire.
-    EXPECT_NE(reply.stats_json.find("\"posthoc_dedup\": 0"),
-              std::string::npos);
-  } else {
-    EXPECT_TRUE(reply.stats_json.empty());
-  }
+  ASSERT_FALSE(reply.stats_json.empty());
+  EXPECT_NE(reply.stats_json.find("serve/window"), std::string::npos);
+  // Two-layer invariant, now visible per query over the wire.
+  EXPECT_NE(reply.stats_json.find("\"posthoc_dedup\": 0"),
+            std::string::npos);
 }
 
 /// Gate that lets tests hold queries inside the worker until released.
@@ -552,7 +548,7 @@ void ExpectLiveMatchesReadOnly(ConcurrentTwoLayerGrid& live,
     EXPECT_EQ(EncodeOkReply(from_live.rows, ""),
               EncodeOkReply(from_grid.rows, ""))
         << context << ": " << text;
-    EXPECT_EQ(from_live.stats_json.empty(), !kQueryStatsEnabled) << text;
+    EXPECT_FALSE(from_live.stats_json.empty()) << text;
     if (window_empty) {
       EXPECT_EQ(WithoutSeconds(from_live.stats_json),
                 WithoutSeconds(from_grid.stats_json))

@@ -4,9 +4,12 @@
 // objects), while the 1-layer baselines generate duplicates and eliminate
 // them after the fact (posthoc_dedup > 0). Also covers comparison counting
 // (Table II), per-thread merging through BatchExecutor, refinement hit/miss
-// accounting, and the all-zero guarantee of a TLP_STATS=OFF build.
+// accounting, and exact per-segment counts on hand-built grids, including
+// the bulk-append and vector paths every build runs.
 
 #include "common/query_stats.h"
+
+#include <algorithm>
 
 #include "gtest/gtest.h"
 
@@ -31,31 +34,9 @@ std::vector<BoxEntry> MultiTileEntries() {
 
 std::vector<Box> MultiTileWindows() { return testing::RandomWindows(80, 92); }
 
-TEST(QueryStatsTest, DisabledBuildReportsAllZero) {
-  if (kQueryStatsEnabled) GTEST_SKIP() << "stats compiled in";
-  // The TLP_STATS=OFF guard: query paths must not account anything.
-  TwoLayerGrid grid(GridLayout(kUnit, 8, 8));
-  grid.Build(MultiTileEntries());
-  ResetQueryStats();
-  std::vector<ObjectId> out;
-  grid.WindowQuery(Box{0.1, 0.1, 0.9, 0.9}, &out);
-  const QueryStats s = GetQueryStats();
-  EXPECT_EQ(s.queries, 0u);
-  EXPECT_EQ(s.tiles_visited, 0u);
-  EXPECT_EQ(s.scanned_total(), 0u);
-  EXPECT_EQ(s.comparisons, 0u);
-  EXPECT_EQ(s.candidates, 0u);
-  EXPECT_EQ(s.query_seconds, 0.0);
-}
-
 class EnabledQueryStatsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!kQueryStatsEnabled) {
-      GTEST_SKIP() << "built with TLP_STATS=OFF";
-    }
-    ResetQueryStats();
-  }
+  void SetUp() override { ResetQueryStats(); }
 };
 
 TEST_F(EnabledQueryStatsTest, TwoLayerAvoidsDuplicatesByConstruction) {
@@ -75,7 +56,7 @@ TEST_F(EnabledQueryStatsTest, TwoLayerAvoidsDuplicatesByConstruction) {
   EXPECT_GT(s.tiles_visited, 0u);
   EXPECT_GT(s.comparisons, 0u);
   EXPECT_GT(s.candidates, 0u);
-  EXPECT_GT(s.query_seconds, 0.0);
+  EXPECT_EQ(s.query_seconds, 0.0);  // the core reads no clock
   // Two-layer scans are classed; the flat counter belongs to 1-layer tiles.
   EXPECT_GT(s.scanned_class[0], 0u);  // class A always scanned
   EXPECT_EQ(s.scanned_flat, 0u);
@@ -264,6 +245,107 @@ TEST_F(EnabledQueryStatsTest, JsonSnapshotCarriesTheSchema) {
   EXPECT_NE(json.find("\"tiles_visited\""), std::string::npos);
   EXPECT_NE(json.find("\"duplicates_avoided\""), std::string::npos);
   EXPECT_NE(json.find("\"posthoc_dedup\""), std::string::npos);
+}
+
+/// Every counter of `s` against its expected value; query_seconds stays 0
+/// because the core reads no clock.
+struct ExpectedStats {
+  std::uint64_t tiles_visited = 0;
+  std::uint64_t scanned_a = 0;
+  std::uint64_t comparisons = 0;
+  std::uint64_t binary_search_probes = 0;
+  std::uint64_t duplicates_avoided = 0;
+  std::uint64_t candidates = 0;
+};
+
+void ExpectExactStats(const QueryStats& s, const ExpectedStats& want) {
+  EXPECT_EQ(s.queries, 1u);
+  EXPECT_EQ(s.tiles_visited, want.tiles_visited);
+  EXPECT_EQ(s.scanned_class[0], want.scanned_a);
+  EXPECT_EQ(s.scanned_class[1], 0u);
+  EXPECT_EQ(s.scanned_class[2], 0u);
+  EXPECT_EQ(s.scanned_class[3], 0u);
+  EXPECT_EQ(s.scanned_flat, 0u);
+  EXPECT_EQ(s.comparisons, want.comparisons);
+  EXPECT_EQ(s.binary_search_probes, want.binary_search_probes);
+  EXPECT_EQ(s.duplicates_avoided, want.duplicates_avoided);
+  EXPECT_EQ(s.posthoc_dedup, 0u);
+  EXPECT_EQ(s.candidates, want.candidates);
+  EXPECT_EQ(s.refine_hits, 0u);
+  EXPECT_EQ(s.refine_misses, 0u);
+  EXPECT_EQ(s.query_seconds, 0.0);
+}
+
+std::vector<ObjectId> SortedWindow(const SpatialIndex& index, const Box& w) {
+  std::vector<ObjectId> out;
+  index.WindowQuery(w, &out);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// 4x4 tiles of side 0.25; W covers tile columns and rows 0..2, so tile
+// (1, 1) is interior and takes the bulk-append path.
+TEST_F(EnabledQueryStatsTest, ExactCountsInteriorTileBulkAppend) {
+  TwoLayerGrid grid(GridLayout(kUnit, 4, 4));
+  grid.Build({
+      BoxEntry{Box{0.30, 0.30, 0.40, 0.40}, 0},  // (1,1) A
+      BoxEntry{Box{0.30, 0.30, 0.45, 0.45}, 1},  // (1,1) A
+      BoxEntry{Box{0.20, 0.30, 0.30, 0.40}, 2},  // (0,1) A, (1,1) C
+      BoxEntry{Box{0.30, 0.20, 0.40, 0.30}, 3},  // (1,0) A, (1,1) B
+  });
+  ResetQueryStats();
+  EXPECT_EQ(SortedWindow(grid, Box{0.1, 0.1, 0.6, 0.6}),
+            (std::vector<ObjectId>{0, 1, 2, 3}));
+  // Tile (1,0) scans A={3} under its one first-row comparison, tile (0,1)
+  // scans A={2} under its one first-column comparison; the interior tile
+  // appends A={0,1} with no comparison and skips its B and C replicas.
+  ExpectExactStats(GetQueryStats(), {.tiles_visited = 3,
+                                     .scanned_a = 4,
+                                     .comparisons = 2,
+                                     .duplicates_avoided = 2,
+                                     .candidates = 4});
+}
+
+// The corner tile (0, 0) of a 2x2-tile window plans two comparisons per
+// class-A entry. Entry 0 fails the first one, so a short-circuiting loop
+// executes only one comparison for it; the counter still reports the two
+// planned ones (Table II's count), 2 entries x 2 = 4.
+TEST_F(EnabledQueryStatsTest, ExactCountsShortCircuitedEntry) {
+  TwoLayerGrid grid(GridLayout(kUnit, 4, 4));
+  grid.Build({
+      BoxEntry{Box{0.01, 0.01, 0.05, 0.05}, 0},  // xu < W.xl: cut at once
+      BoxEntry{Box{0.15, 0.15, 0.20, 0.20}, 1},  // passes both
+  });
+  ResetQueryStats();
+  EXPECT_EQ(SortedWindow(grid, Box{0.1, 0.1, 0.4, 0.4}),
+            (std::vector<ObjectId>{1}));
+  ExpectExactStats(GetQueryStats(),
+                   {.tiles_visited = 1, .scanned_a = 2, .comparisons = 4,
+                    .candidates = 1});
+}
+
+// A window inside one tile plans all four comparisons. The 2-layer+ plan
+// binary-searches xu >= W.xl (all estimates tie; xu is considered first)
+// and verifies the three residual comparisons with the 4-box vector kernel
+// over the 5 entries the search keeps.
+TEST_F(EnabledQueryStatsTest, ExactCountsTwoLayerPlusVectorResidual) {
+  TwoLayerPlusGrid grid(GridLayout(kUnit, 4, 4));
+  grid.Build({
+      BoxEntry{Box{0.01, 0.01, 0.03, 0.03}, 0},  // cut by the search
+      BoxEntry{Box{0.10, 0.10, 0.15, 0.15}, 1},  // result
+      BoxEntry{Box{0.21, 0.10, 0.24, 0.15}, 2},  // xl > W.xu
+      BoxEntry{Box{0.10, 0.21, 0.15, 0.24}, 3},  // yl > W.yu
+      BoxEntry{Box{0.06, 0.06, 0.07, 0.07}, 4},  // result
+      BoxEntry{Box{0.12, 0.01, 0.13, 0.03}, 5},  // yu < W.yl
+  });
+  ResetQueryStats();
+  EXPECT_EQ(SortedWindow(grid, Box{0.05, 0.05, 0.20, 0.20}),
+            (std::vector<ObjectId>{1, 4}));
+  ExpectExactStats(GetQueryStats(), {.tiles_visited = 1,
+                                     .scanned_a = 5,
+                                     .comparisons = 5 * 3,
+                                     .binary_search_probes = 3,  // 6 values
+                                     .candidates = 2});
 }
 
 }  // namespace

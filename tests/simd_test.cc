@@ -1,8 +1,8 @@
-// Differential proof of the query hot-path kernels (ISSUE: SIMD + bit-tile
-// layer): the vector comparison kernel, the branchless binary searches and
-// the occupancy bitset must reproduce their scalar references bit for bit —
-// same survivors, same emit order, same indices — on randomized AND
-// boundary-heavy inputs (window-edge coordinates, +-infinity, NaN).
+// Differential proof of the query hot-path kernels: the vector comparison
+// kernel, the branchless binary searches and the occupancy bitset must
+// reproduce their scalar references bit for bit — same survivors, same emit
+// order, same indices — on randomized AND boundary-heavy inputs (window-edge
+// coordinates, +-infinity, NaN).
 
 #include "common/simd.h"
 
@@ -26,9 +26,8 @@ constexpr Coord kNaN = std::numeric_limits<Coord>::quiet_NaN();
 
 const Box kW{0.3, 0.3, 0.7, 0.7};
 
-/// The scalar reference dispatch: always the 16 ScanPartition template
-/// instantiations, regardless of how the build routes the production
-/// ScanPartitionDispatch.
+/// The scalar reference: the 16 ScanPartition template instantiations, the
+/// loops ScanPartitionDispatch runs.
 std::vector<ObjectId> ScanScalar(unsigned mask,
                                  const std::vector<BoxEntry>& data,
                                  const Box& w) {
@@ -60,12 +59,26 @@ std::vector<ObjectId> ScanScalar(unsigned mask,
   return out;
 }
 
+/// The 4-box kernel loop of the 2-layer+ residual verification, run over
+/// entries: LaneBoundsForMask + simd::MatchesMask4 per group of four, and
+/// simd::Matches on the tail.
 std::vector<ObjectId> ScanSimd(unsigned mask,
                                const std::vector<BoxEntry>& data,
                                const Box& w) {
   std::vector<ObjectId> out;
-  ScanPartitionSimd(mask, data.data(), data.size(), w,
-                    [&](const BoxEntry& e) { out.push_back(e.id); });
+  const simd::LaneBounds lb = LaneBoundsForMask(w, mask);
+  std::size_t k = 0;
+  for (; k + 4 <= data.size(); k += 4) {
+    const Coord* lanes[4] = {&data[k].box.xl, &data[k + 1].box.xl,
+                             &data[k + 2].box.xl, &data[k + 3].box.xl};
+    const unsigned hits = simd::MatchesMask4(lanes, lb);
+    for (unsigned s = 0; s < 4; ++s) {
+      if ((hits >> s) & 1u) out.push_back(data[k + s].id);
+    }
+  }
+  for (; k < data.size(); ++k) {
+    if (simd::Matches(&data[k].box.xl, lb)) out.push_back(data[k].id);
+  }
   return out;
 }
 
@@ -273,18 +286,11 @@ TEST(OccupancyBitsetTest, ForEachOccupiedColumnVisitsOccupiedRangeInOrder) {
   std::vector<std::uint32_t> got;
   ForEachOccupiedColumn(occ, g, 1, 0, 99,
                         [&](std::uint32_t i) { got.push_back(i); });
-#ifdef TLP_SIMD_ENABLED
   EXPECT_EQ(got, (std::vector<std::uint32_t>{5, 6, 70}));
-#else
-  // Fallback: the plain loop visits everything; callers re-check emptiness.
-  EXPECT_EQ(got.size(), 100u);
-#endif
   got.clear();
   ForEachOccupiedColumn(occ, g, 1, 6, 50,
                         [&](std::uint32_t i) { got.push_back(i); });
-#ifdef TLP_SIMD_ENABLED
   EXPECT_EQ(got, (std::vector<std::uint32_t>{6}));
-#endif
 }
 
 }  // namespace

@@ -184,7 +184,6 @@ TEST(SkylineTest, EmptyInputsYieldEmptySkylines) {
 }
 
 TEST(SkylineTest, NeverDeduplicatesPostHoc) {
-  if (!kQueryStatsEnabled) GTEST_SKIP() << "built with TLP_STATS=OFF";
   const auto data = testing::RandomEntries(400, 0.2, 422,
                                            /*point_fraction=*/0.0);
   TwoLayerGrid grid(GridLayout(kUnit, 8, 8));
@@ -203,7 +202,6 @@ TEST(SkylineTest, NeverDeduplicatesPostHoc) {
 }
 
 TEST(SkylineTest, TilePruningSkipsTiles) {
-  if (!kQueryStatsEnabled) GTEST_SKIP() << "built with TLP_STATS=OFF";
   // Dense small objects everywhere and the query near the domain's lower
   // corner: a nearby skyline point found in q's own tile dominates the
   // extent bound of almost every other tile, so the sweep must visit far
@@ -317,7 +315,6 @@ TEST(SkylineTest, CenteredQueriesPruneClusteredData) {
                        BruteForceSkyline(data, q, nullptr, large),
                        "WHERE area >= median");
   }
-  if (!kQueryStatsEnabled) return;
   const QueryStats s = GetQueryStats();
   EXPECT_EQ(s.posthoc_dedup, 0u);
   // Two queries per round; allow each one 1% of the grid's tiles.
