@@ -28,8 +28,9 @@ namespace tlp {
 ///    exactly `entries` — calling Build on a non-empty index is equivalent
 ///    to Build on a freshly constructed one, never an append. The grid
 ///    family additionally takes a `num_threads` knob (0 = one thread per
-///    hardware core, 1 = sequential) and guarantees the built index is
-///    identical — same per-tile contents in the same order — for every
+///    hardware core, otherwise taken literally; every count runs the same
+///    bulk load) and guarantees the built index is identical — same
+///    per-tile contents in the same order, same SizeBytes() — for every
 ///    thread count.
 ///
 /// Observability: the grid indices account per-query operation counts

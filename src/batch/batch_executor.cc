@@ -1,9 +1,11 @@
 #include "batch/batch_executor.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/query_stats.h"
 #include "common/thread_pool.h"
+#include "grid/parallel_build.h"
 
 namespace tlp {
 
@@ -53,35 +55,25 @@ void BuildSubtasks(const GridLayout& layout, const std::vector<Box>& queries,
 std::vector<std::uint32_t> BatchExecutor::RunQueriesBased(
     const TwoLayerGrid& grid, const std::vector<Box>& queries,
     std::size_t num_threads) {
+  const std::size_t threads = std::max<std::size_t>(1, num_threads);
   std::vector<std::uint32_t> counts(queries.size(), 0);
-  if (num_threads <= 1) {
-    std::vector<ObjectId> out;
-    for (std::size_t k = 0; k < queries.size(); ++k) {
-      out.clear();
-      grid.WindowQuery(queries[k], &out);
-      counts[k] = static_cast<std::uint32_t>(out.size());
-    }
-    return counts;
-  }
-  ThreadPool pool(num_threads);
-  // Per-task stats sinks: each worker drains its thread-local accumulator
+  // Per-task stats sinks: each task drains its thread-local accumulator
   // into its own slot, and the merged total lands on the calling thread
-  // after Wait() so batch callers observe batch-wide counters.
-  std::vector<QueryStats> task_stats(num_threads);
-  // Round-robin assignment (paper §VI): thread t evaluates queries
+  // after the tasks finish, so batch callers observe batch-wide counters.
+  std::vector<QueryStats> task_stats(threads);
+  ThreadPool pool(threads);
+  // Round-robin assignment (paper §VI): task t evaluates queries
   // t, t + T, t + 2T, ...
-  for (std::size_t t = 0; t < num_threads; ++t) {
-    pool.Submit([&, t] {
-      std::vector<ObjectId> out;
-      for (std::size_t k = t; k < queries.size(); k += num_threads) {
-        out.clear();
-        grid.WindowQuery(queries[k], &out);
-        counts[k] = static_cast<std::uint32_t>(out.size());
-      }
-      DrainQueryStatsInto(&task_stats[t]);
-    });
-  }
-  pool.Wait();
+  ParallelForChunks(
+      pool, threads, threads, [&](std::size_t t, std::size_t, std::size_t) {
+        std::vector<ObjectId> out;
+        for (std::size_t k = t; k < queries.size(); k += threads) {
+          out.clear();
+          grid.WindowQuery(queries[k], &out);
+          counts[k] = static_cast<std::uint32_t>(out.size());
+        }
+        DrainQueryStatsInto(&task_stats[t]);
+      });
   for (const QueryStats& s : task_stats) MergeQueryStats(s);
   return counts;
 }
@@ -89,68 +81,48 @@ std::vector<std::uint32_t> BatchExecutor::RunQueriesBased(
 std::vector<std::uint32_t> BatchExecutor::RunTilesBased(
     const TwoLayerGrid& grid, const std::vector<Box>& queries,
     std::size_t num_threads) {
+  const std::size_t threads = std::max<std::size_t>(1, num_threads);
   const GridLayout& layout = grid.layout();
   SubtaskIndex index;
   std::vector<TileRange> ranges;
   BuildSubtasks(layout, queries, &index, &ranges);
 
-  std::vector<std::uint32_t> counts(queries.size(), 0);
-  // Processes the subtasks of tiles [tile_begin, tile_end); one reusable
-  // output buffer keeps each tile's secondary partitions hot across all of
-  // its subtasks.
-  auto process = [&](std::size_t tile_begin, std::size_t tile_end,
-                     std::vector<std::uint32_t>& local_counts) {
-    std::vector<ObjectId> out;
-    for (std::size_t t = tile_begin; t < tile_end; ++t) {
-      const std::size_t begin = index.tile_offset[t];
-      const std::size_t end = index.tile_offset[t + 1];
-      if (begin == end) continue;
-      const auto i = static_cast<std::uint32_t>(t % layout.nx());
-      const auto j = static_cast<std::uint32_t>(t / layout.nx());
-      for (std::size_t s = begin; s < end; ++s) {
-        const std::uint32_t q = index.query_of[s];
-        out.clear();
-        grid.WindowQueryTile(i, j, queries[q], ranges[q], &out);
-        local_counts[q] += static_cast<std::uint32_t>(out.size());
-      }
-    }
-  };
-
-  if (num_threads <= 1) {
-    process(0, layout.tile_count(), counts);
-    return counts;
-  }
-
   // Partition tiles into spans with balanced subtask counts; a tile is never
-  // shared between threads.
-  const std::size_t total = index.query_of.size();
-  const std::size_t target = (total + num_threads - 1) / num_threads;
-  std::vector<std::size_t> cuts{0};
-  for (std::size_t t = 1; t < num_threads; ++t) {
-    const auto it = std::lower_bound(index.tile_offset.begin(),
-                                     index.tile_offset.end(), t * target);
-    cuts.push_back(static_cast<std::size_t>(
-        std::min<std::ptrdiff_t>(it - index.tile_offset.begin(),
-                                 static_cast<std::ptrdiff_t>(
-                                     layout.tile_count()))));
+  // shared between tasks.
+  std::vector<std::uint64_t> tile_work(layout.tile_count());
+  for (std::size_t t = 0; t < tile_work.size(); ++t) {
+    tile_work[t] = index.tile_offset[t + 1] - index.tile_offset[t];
   }
-  cuts.push_back(layout.tile_count());
+  const std::vector<std::size_t> cuts =
+      build_internal::BalanceTiles(tile_work, threads);
 
+  // Task t processes the subtasks of tiles [cuts[t], cuts[t+1]) into its
+  // own count vector; one reusable output buffer keeps each tile's
+  // secondary partitions hot across all of its subtasks.
   std::vector<std::vector<std::uint32_t>> local(
-      cuts.size() - 1, std::vector<std::uint32_t>(queries.size(), 0));
-  std::vector<QueryStats> task_stats(cuts.size() - 1);
-  ThreadPool pool(num_threads);
-  for (std::size_t t = 0; t + 1 < cuts.size(); ++t) {
-    if (cuts[t] >= cuts[t + 1]) continue;
-    pool.Submit([&, t] {
-      process(cuts[t], cuts[t + 1], local[t]);
-      DrainQueryStatsInto(&task_stats[t]);
-    });
-  }
-  pool.Wait();
+      threads, std::vector<std::uint32_t>(queries.size(), 0));
+  std::vector<QueryStats> task_stats(threads);
+  ThreadPool pool(threads);
+  ParallelForChunks(
+      pool, threads, threads, [&](std::size_t task, std::size_t, std::size_t) {
+        std::vector<ObjectId> out;
+        for (std::size_t t = cuts[task]; t < cuts[task + 1]; ++t) {
+          const auto i = static_cast<std::uint32_t>(t % layout.nx());
+          const auto j = static_cast<std::uint32_t>(t / layout.nx());
+          for (std::size_t s = index.tile_offset[t];
+               s < index.tile_offset[t + 1]; ++s) {
+            const std::uint32_t q = index.query_of[s];
+            out.clear();
+            grid.WindowQueryTile(i, j, queries[q], ranges[q], &out);
+            local[task][q] += static_cast<std::uint32_t>(out.size());
+          }
+        }
+        DrainQueryStatsInto(&task_stats[task]);
+      });
   for (const QueryStats& s : task_stats) MergeQueryStats(s);
-  for (const auto& l : local) {
-    for (std::size_t k = 0; k < counts.size(); ++k) counts[k] += l[k];
+  std::vector<std::uint32_t> counts = std::move(local[0]);
+  for (std::size_t task = 1; task < threads; ++task) {
+    for (std::size_t k = 0; k < counts.size(); ++k) counts[k] += local[task][k];
   }
   return counts;
 }

@@ -23,13 +23,14 @@ namespace tlp {
 /// full id lists (used by tests to prove result equivalence).
 class BatchExecutor {
  public:
-  /// Evaluates `queries` one by one with `num_threads` workers; returns the
-  /// result count of each query.
+  /// Evaluates `queries` one by one with `num_threads` workers (0 means
+  /// one); returns the result count of each query.
   static std::vector<std::uint32_t> RunQueriesBased(
       const TwoLayerGrid& grid, const std::vector<Box>& queries,
       std::size_t num_threads);
 
-  /// Cache-conscious two-step evaluation (§VI); returns per-query counts.
+  /// Cache-conscious two-step evaluation (§VI) with `num_threads` workers
+  /// (0 means one); returns per-query counts.
   static std::vector<std::uint32_t> RunTilesBased(
       const TwoLayerGrid& grid, const std::vector<Box>& queries,
       std::size_t num_threads);

@@ -15,8 +15,8 @@ namespace tlp {
 
 /// Fixed-size worker pool. The paper uses OpenMP; we use std::thread so the
 /// library has no compiler-extension dependency. Used by the batch executors
-/// (§VI), the parallel Build() paths, and the distributed-execution
-/// simulator.
+/// (§VI), the grid family's Build(), the query server and the live grid's
+/// background merge.
 ///
 /// Exception safety: a task that throws does not touch std::terminate. The
 /// pool captures the first exception (std::exception_ptr), discards the
@@ -27,7 +27,7 @@ namespace tlp {
 /// discarded. After the rethrow the pool is clean and reusable. Destroying
 /// a pool with an unconsumed error just drops it — destructors must not
 /// throw. ParallelFor/ParallelForChunks and everything built on them
-/// (BatchExecutor, parallel Build) inherit this contract through Wait().
+/// (BatchExecutor, Build) inherit this contract through Wait().
 ///
 /// Not copyable or movable: workers capture `this`.
 class ThreadPool {
@@ -70,7 +70,7 @@ class ThreadPool {
 
 /// Splits [0, count) into contiguous chunks and runs `body(begin, end)` for
 /// each chunk on the pool, blocking until all chunks complete. When the pool
-/// has one worker this degenerates to a sequential loop with no queuing.
+/// has one worker the body runs once, inline on the calling thread.
 /// Rethrows the first exception a chunk threw (after all chunks finished or
 /// were discarded, so `body` is never still referenced when this returns).
 void ParallelFor(ThreadPool& pool, std::size_t count,
@@ -82,8 +82,9 @@ void ParallelFor(ThreadPool& pool, std::size_t count,
 /// only on (count, num_chunks), so callers can give each chunk private
 /// scratch state (e.g. a per-chunk count array) and merge deterministically
 /// afterwards. Chunks may be empty (begin == end); every chunk index is
-/// still invoked. With a one-worker pool the chunks run sequentially in
-/// index order. Exceptions propagate as in ParallelFor.
+/// still invoked. With a one-worker pool (or one chunk) the chunks run
+/// inline on the calling thread in index order. Exceptions propagate as in
+/// ParallelFor.
 void ParallelForChunks(
     ThreadPool& pool, std::size_t count, std::size_t num_chunks,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body);

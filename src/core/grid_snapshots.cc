@@ -37,6 +37,7 @@ using snapshot_internal::ExpectKind;
 using snapshot_internal::ExpectSectionSize;
 using snapshot_internal::ReadLayoutSection;
 using snapshot_internal::WriteLayoutSection;
+using snapshot_internal::WriteTileEntriesSection;
 
 void TwoLayerGrid::AppendSnapshotSections(SnapshotWriter* writer) const {
   WriteLayoutSection(writer, layout_);
@@ -48,12 +49,9 @@ void TwoLayerGrid::AppendSnapshotSections(SnapshotWriter* writer) const {
   }
   writer->EndSection();
 
-  writer->BeginSection(kSecTileEntries);
-  for (const Tile& tile : tiles_) {
-    writer->Write(tile.entries.data(),
-                  tile.entries.size() * sizeof(BoxEntry));
-  }
-  writer->EndSection();
+  WriteTileEntriesSection(writer, tiles_, [](const Tile& tile) -> const auto& {
+    return tile.entries;
+  });
 }
 
 Status TwoLayerGrid::LoadSnapshotSections(const SnapshotReader& reader,

@@ -66,98 +66,41 @@ void TwoLayerGrid::RequireMutable(const char* op) const {
 void TwoLayerGrid::Build(const std::vector<BoxEntry>& entries,
                          std::size_t num_threads) {
   RequireMutable("Build");
-  const std::size_t threads =
-      build_internal::EffectiveBuildThreads(num_threads, entries.size());
-  if (threads <= 1) {
-    BuildSequential(entries);
-    return;
-  }
-  ThreadPool pool(threads);
-  BuildOnPool(entries, pool);
-}
-
-void TwoLayerGrid::Build(const std::vector<BoxEntry>& entries,
-                         ThreadPool& pool) {
-  RequireMutable("Build");
-  if (pool.num_threads() <= 1) {
-    BuildSequential(entries);
-    return;
-  }
-  BuildOnPool(entries, pool);
-}
-
-void TwoLayerGrid::BuildSequential(const std::vector<BoxEntry>& entries) {
-  // Pass 1: count entries per (tile, class) so each tile allocates exactly
-  // once and classes end up contiguous.
-  std::vector<std::array<std::uint32_t, kNumClasses>> counts(tiles_.size(),
-                                                             {0, 0, 0, 0});
-  for (const BoxEntry& e : entries) {
-    const TileRange range = layout_.TilesFor(e.box);
-    for (std::uint32_t j = range.j0; j <= range.j1; ++j) {
-      for (std::uint32_t i = range.i0; i <= range.i1; ++i) {
-        const ObjectClass c = ClassifyEntryInTile(layout_, i, j, e.box);
-        ++counts[layout_.TileId(i, j)][SegmentOf(c)];
-      }
-    }
-  }
-  for (std::size_t t = 0; t < tiles_.size(); ++t) {
-    Tile& tile = tiles_[t];
-    std::uint32_t total = 0;
-    for (std::size_t c = 0; c < kNumClasses; ++c) {
-      tile.begin[c] = total;
-      total += counts[t][c];
-    }
-    tile.begin[kNumClasses] = total;
-    tile.entries.vec().resize(total);
-  }
-  // Pass 2: place entries at per-(tile, class) cursors.
-  std::vector<std::array<std::uint32_t, kNumClasses>> cursors(
-      tiles_.size(), {0, 0, 0, 0});
-  for (const BoxEntry& e : entries) {
-    const TileRange range = layout_.TilesFor(e.box);
-    for (std::uint32_t j = range.j0; j <= range.j1; ++j) {
-      for (std::uint32_t i = range.i0; i <= range.i1; ++i) {
-        const std::size_t t = layout_.TileId(i, j);
-        const std::size_t seg =
-            SegmentOf(ClassifyEntryInTile(layout_, i, j, e.box));
-        Tile& tile = tiles_[t];
-        tile.entries.vec()[tile.begin[seg] + cursors[t][seg]++] = e;
-      }
-    }
-  }
-  RebuildDerivedState();
-}
-
-void TwoLayerGrid::BuildOnPool(const std::vector<BoxEntry>& entries,
-                               ThreadPool& pool) {
   const std::size_t n_tiles = tiles_.size();
-  const std::size_t chunks = pool.num_threads();
-  const std::vector<TileRange> ranges =
-      build_internal::ComputeTileRanges(pool, layout_, entries);
+  const std::size_t chunks =
+      build_internal::EffectiveBuildThreads(num_threads, entries.size());
+  ThreadPool pool(chunks);
 
   // Count pass: per-chunk (tile, class) histograms over disjoint entry
-  // ranges, merged per tile below.
+  // ranges, merged per tile below; it also records each entry's tile range.
+  std::vector<TileRange> ranges(entries.size());
   std::vector<std::vector<std::array<std::uint32_t, kNumClasses>>>
       chunk_counts(chunks);
   ParallelForChunks(
       pool, entries.size(), chunks,
       [&](std::size_t c, std::size_t begin, std::size_t end) {
-        auto& counts = chunk_counts[c];
-        counts.assign(n_tiles, {0, 0, 0, 0});
+        chunk_counts[c].assign(n_tiles, {0, 0, 0, 0});
+        // Locals, not captures: the loop calls out-of-line layout code per
+        // replica, after which captured members would be reloaded.
+        const GridLayout& layout = layout_;
+        const BoxEntry* entry = entries.data();
+        TileRange* range = ranges.data();
+        std::array<std::uint32_t, kNumClasses>* counts = chunk_counts[c].data();
         for (std::size_t k = begin; k < end; ++k) {
-          const TileRange& r = ranges[k];
+          const Box& b = entry[k].box;
+          const TileRange r = range[k] = layout.TilesFor(b);
           for (std::uint32_t j = r.j0; j <= r.j1; ++j) {
             for (std::uint32_t i = r.i0; i <= r.i1; ++i) {
               const std::size_t seg =
-                  SegmentOf(ClassifyEntryInTile(layout_, i, j, entries[k].box));
-              ++counts[layout_.TileId(i, j)][seg];
+                  SegmentOf(ClassifyEntryInTile(layout, i, j, b));
+              ++counts[layout.TileId(i, j)][seg];
             }
           }
         }
       });
 
   // Merge into per-tile class prefix sums and allocate each tile exactly
-  // once (chunk order fixes the sums, so they equal the sequential pass').
+  // once, so classes end up contiguous.
   std::vector<std::uint64_t> tile_work(n_tiles);
   ParallelFor(pool, n_tiles, [&](std::size_t begin, std::size_t end) {
     for (std::size_t t = begin; t < end; ++t) {
@@ -179,43 +122,27 @@ void TwoLayerGrid::BuildOnPool(const std::vector<BoxEntry>& entries,
     }
   });
 
-  // Place pass: each worker owns a contiguous tile range (balanced by entry
-  // count) and scans the full entry vector in input order, writing only into
-  // its own tiles' segments. One writer per tile keeps the cursors and
-  // entry slots race-free, and the input-order scan reproduces the
-  // sequential build bit for bit.
-  const std::vector<std::size_t> cuts =
-      build_internal::BalanceTiles(tile_work, chunks);
+  // Place pass: each part owns a contiguous tile range and writes entries
+  // at per-(tile, class) cursors of its own tiles only.
   std::vector<std::array<std::uint32_t, kNumClasses>> cursors(
       n_tiles, {0, 0, 0, 0});
-  for (std::size_t p = 0; p < chunks; ++p) {
-    pool.Submit([this, p, &cuts, &ranges, &entries, &cursors] {
-      const std::size_t lo = cuts[p];
-      const std::size_t hi = cuts[p + 1];
-      if (lo == hi) return;
-      for (std::size_t k = 0; k < entries.size(); ++k) {
-        const TileRange& r = ranges[k];
-        if (layout_.TileId(r.i1, r.j1) < lo ||
-            layout_.TileId(r.i0, r.j0) >= hi) {
-          continue;
-        }
-        for (std::uint32_t j = r.j0; j <= r.j1; ++j) {
-          for (std::uint32_t i = r.i0; i <= r.i1; ++i) {
-            const std::size_t t = layout_.TileId(i, j);
-            if (t < lo || t >= hi) continue;
-            const std::size_t seg =
-                SegmentOf(ClassifyEntryInTile(layout_, i, j, entries[k].box));
-            Tile& tile = tiles_[t];
-            tile.entries.vec()[tile.begin[seg] + cursors[t][seg]++] =
-                entries[k];
-          }
-        }
-      }
-    });
-  }
-  pool.Wait();
-  // Sequentially: an occupancy word covers 64 tiles and so can straddle the
-  // workers' tile-ownership cuts — setting bits from the workers would race.
+  build_internal::ForEachTilePart(
+      pool, tile_work, [&](std::size_t lo, std::size_t hi) {
+        const GridLayout& layout = layout_;  // locals, as in the count pass
+        Tile* tiles = tiles_.data();
+        std::array<std::uint32_t, kNumClasses>* cursor = cursors.data();
+        build_internal::ForEachOwnedReplica(
+            layout, entries, ranges, lo, hi,
+            [&](const BoxEntry& e, std::uint32_t i, std::uint32_t j,
+                std::size_t t) {
+              const std::size_t seg =
+                  SegmentOf(ClassifyEntryInTile(layout, i, j, e.box));
+              Tile& tile = tiles[t];
+              tile.entries.vec()[tile.begin[seg] + cursor[t][seg]++] = e;
+            });
+      });
+  // After the parts: an occupancy word covers 64 tiles and so can straddle
+  // the parts' tile-ownership cuts — setting bits from the parts would race.
   RebuildDerivedState();
 }
 

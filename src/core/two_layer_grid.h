@@ -17,7 +17,6 @@ namespace tlp {
 
 class SnapshotReader;
 class SnapshotWriter;
-class ThreadPool;
 
 /// A candidate produced by the filtering step, annotated with what the
 /// two-layer evaluation already knows about it (paper §V "efficient
@@ -41,19 +40,16 @@ class TwoLayerGrid final : public PersistentIndex {
  public:
   explicit TwoLayerGrid(const GridLayout& layout);
 
-  /// Bulk-loads with two passes (count, then place); entries within a tile
-  /// end up grouped contiguously as A|B|C|D. A full rebuild: any previously
-  /// built or inserted entries are discarded first (contract:
-  /// api/spatial_index.h). `num_threads` 0 = one per hardware core (small
-  /// inputs fall back to one), 1 = the sequential path; tile ownership in
-  /// the parallel place pass makes the built grid bit-identical for every
-  /// thread count. Throws std::logic_error on a frozen (mapped-snapshot)
-  /// grid.
+  /// Bulk-loads with two passes (count by entry chunks, then place by owned
+  /// tile ranges); entries within a tile end up grouped contiguously as
+  /// A|B|C|D. A full rebuild: any previously built or inserted entries are
+  /// discarded first (contract: api/spatial_index.h). `num_threads` 0 = one
+  /// per hardware core (one for small inputs), otherwise taken literally;
+  /// every count runs the same code, and tile ownership in the place pass
+  /// makes the built grid bit-identical for every thread count. Throws
+  /// std::logic_error on a frozen (mapped-snapshot) grid.
   void Build(const std::vector<BoxEntry>& entries,
              std::size_t num_threads = 0);
-  /// As above, on the caller's pool (TwoLayerPlusGrid shares one pool
-  /// across both layers of its build this way).
-  void Build(const std::vector<BoxEntry>& entries, ThreadPool& pool);
 
   void Insert(const BoxEntry& entry) override;
 
@@ -181,12 +177,6 @@ class TwoLayerGrid final : public PersistentIndex {
 
     bool empty() const { return entries.empty(); }
   };
-
-  /// Today's single-threaded two-pass bulk load.
-  void BuildSequential(const std::vector<BoxEntry>& entries);
-  /// Parallel bulk load (count pass by entry chunks, place pass by owned
-  /// tile ranges); bit-identical output to BuildSequential.
-  void BuildOnPool(const std::vector<BoxEntry>& entries, ThreadPool& pool);
 
   /// Rejects updates while frozen (mapped); throws std::logic_error.
   void RequireMutable(const char* op) const;

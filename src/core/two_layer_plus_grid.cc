@@ -125,114 +125,70 @@ void TwoLayerPlusGrid::Build(const std::vector<BoxEntry>& entries,
     for (const BoxEntry& e : entries) mbrs_.vec()[e.id] = e.box;
   }
 
+  // The record layer goes first: its per-tile class counts size this
+  // layer's tables exactly, and its tile populations drive the ownership
+  // split.
   const GridLayout& g = record_.layout();
   const std::size_t threads =
       build_internal::EffectiveBuildThreads(num_threads, entries.size());
-
-  if (threads <= 1) {
-    record_.Build(entries, /*num_threads=*/1);
-    // Fill the decomposed tables unsorted, then sort each one once.
-    for (const BoxEntry& e : entries) {
-      const TileRange range = g.TilesFor(e.box);
-      for (std::uint32_t j = range.j0; j <= range.j1; ++j) {
-        for (std::uint32_t i = range.i0; i <= range.i1; ++i) {
-          const ObjectClass c = ClassifyEntryInTile(g, i, j, e.box);
-          auto& tables =
-              MutableTables(g.TileId(i, j)).tables[static_cast<std::size_t>(c)];
-          const Coord coords[4] = {e.box.xl, e.box.xu, e.box.yl, e.box.yu};
-          for (std::size_t k = 0; k < 4; ++k) {
-            if (TableStored(c, static_cast<CoordKind>(k))) {
-              tables[k].Add(coords[k], e.id);
-            }
-          }
-        }
-      }
-    }
-    std::vector<std::pair<Coord, ObjectId>> scratch;
-    for (auto& tt : tile_tables_) {
-      if (tt == nullptr) continue;
-      for (auto& class_tables : tt->tables) {
-        for (SortedTable& table : class_tables) table.SortByValue(&scratch);
-      }
-    }
-    return;
-  }
-
-  // Parallel path: one pool for both layers. The record layer goes first —
-  // its per-tile class counts size this layer's tables exactly, and its
-  // tile populations drive the ownership split.
+  record_.Build(entries, threads);
   ThreadPool pool(threads);
-  record_.Build(entries, pool);
   const std::vector<TileRange> ranges =
       build_internal::ComputeTileRanges(pool, g, entries);
   std::vector<std::uint64_t> tile_work(g.tile_count());
-  ParallelFor(pool, g.tile_count(),
-              [&](std::size_t begin, std::size_t end) {
-                for (std::size_t t = begin; t < end; ++t) {
-                  tile_work[t] = record_.TileEntryCount(t);
-                }
-              });
+  for (std::size_t t = 0; t < tile_work.size(); ++t) {
+    tile_work[t] = record_.TileEntryCount(t);
+  }
 
-  // Each worker owns a contiguous tile range: it preallocates its tiles'
-  // stored tables from the record layer's class counts, fills them by
-  // scanning the full entry vector in input order (one writer per tile —
-  // race-free), then zip-sorts them in place. Sorting inside the same
-  // ownership pass keeps the per-worker work proportional to its entries.
-  const std::vector<std::size_t> cuts =
-      build_internal::BalanceTiles(tile_work, threads);
-  for (std::size_t p = 0; p < threads; ++p) {
-    pool.Submit([this, p, &g, &cuts, &ranges, &entries] {
-      const std::size_t lo = cuts[p];
-      const std::size_t hi = cuts[p + 1];
-      if (lo == hi) return;
-      for (std::size_t t = lo; t < hi; ++t) {
-        if (record_.TileEntryCount(t) == 0) continue;  // slot stays null
-        const auto i = static_cast<std::uint32_t>(t % g.nx());
-        const auto j = static_cast<std::uint32_t>(t / g.nx());
-        TileTables& tt = MutableTables(t);
-        for (std::size_t c = 0; c < kNumClasses; ++c) {
-          const auto cls = static_cast<ObjectClass>(c);
-          const std::size_t count = record_.ClassCount(i, j, cls);
-          if (count == 0) continue;
-          for (std::size_t k = 0; k < 4; ++k) {
-            if (!TableStored(cls, static_cast<CoordKind>(k))) continue;
-            tt.tables[c][k].values.vec().reserve(count);
-            tt.tables[c][k].ids.vec().reserve(count);
-          }
-        }
-      }
-      for (std::size_t e = 0; e < entries.size(); ++e) {
-        const TileRange& r = ranges[e];
-        if (g.TileId(r.i1, r.j1) < lo || g.TileId(r.i0, r.j0) >= hi) {
-          continue;
-        }
-        const Box& b = entries[e].box;
-        const Coord coords[4] = {b.xl, b.xu, b.yl, b.yu};
-        for (std::uint32_t j = r.j0; j <= r.j1; ++j) {
-          for (std::uint32_t i = r.i0; i <= r.i1; ++i) {
-            const std::size_t t = g.TileId(i, j);
-            if (t < lo || t >= hi) continue;
-            const ObjectClass c = ClassifyEntryInTile(g, i, j, b);
-            auto& tables = tile_tables_[t]->tables[static_cast<std::size_t>(c)];
+  // Each part owns a contiguous tile range: it preallocates its tiles'
+  // stored tables from the record layer's class counts, fills them in
+  // input order (one writer per tile — race-free), then zip-sorts them in
+  // place. Sorting inside the same part keeps its work proportional to its
+  // entries.
+  build_internal::ForEachTilePart(
+      pool, tile_work, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t t = lo; t < hi; ++t) {
+          if (record_.TileEntryCount(t) == 0) continue;  // slot stays null
+          const auto i = static_cast<std::uint32_t>(t % g.nx());
+          const auto j = static_cast<std::uint32_t>(t / g.nx());
+          TileTables& tt = MutableTables(t);
+          for (std::size_t c = 0; c < kNumClasses; ++c) {
+            const auto cls = static_cast<ObjectClass>(c);
+            const std::size_t count = record_.ClassCount(i, j, cls);
+            if (count == 0) continue;
             for (std::size_t k = 0; k < 4; ++k) {
-              if (TableStored(c, static_cast<CoordKind>(k))) {
-                tables[k].Add(coords[k], entries[e].id);
-              }
+              if (!TableStored(cls, static_cast<CoordKind>(k))) continue;
+              tt.tables[c][k].values.vec().reserve(count);
+              tt.tables[c][k].ids.vec().reserve(count);
             }
           }
         }
-      }
-      std::vector<std::pair<Coord, ObjectId>> scratch;
-      for (std::size_t t = lo; t < hi; ++t) {
-        TileTables* tt = tile_tables_[t].get();
-        if (tt == nullptr) continue;
-        for (auto& class_tables : tt->tables) {
-          for (SortedTable& table : class_tables) table.SortByValue(&scratch);
+        build_internal::ForEachOwnedReplica(
+            g, entries, ranges, lo, hi,
+            [&](const BoxEntry& e, std::uint32_t i, std::uint32_t j,
+                std::size_t t) {
+              const Box& b = e.box;
+              const Coord coords[4] = {b.xl, b.xu, b.yl, b.yu};
+              const ObjectClass c = ClassifyEntryInTile(g, i, j, b);
+              auto& tables =
+                  tile_tables_[t]->tables[static_cast<std::size_t>(c)];
+              for (std::size_t k = 0; k < 4; ++k) {
+                if (TableStored(c, static_cast<CoordKind>(k))) {
+                  tables[k].Add(coords[k], e.id);
+                }
+              }
+            });
+        std::vector<std::pair<Coord, ObjectId>> scratch;
+        for (std::size_t t = lo; t < hi; ++t) {
+          TileTables* tt = tile_tables_[t].get();
+          if (tt == nullptr) continue;
+          for (auto& class_tables : tt->tables) {
+            for (SortedTable& table : class_tables) {
+              table.SortByValue(&scratch);
+            }
+          }
         }
-      }
-    });
-  }
-  pool.Wait();
+      });
 }
 
 void TwoLayerPlusGrid::Insert(const BoxEntry& entry) {

@@ -37,10 +37,11 @@ class TwoLayerPlusGrid final : public PersistentIndex {
   /// Bulk load: builds the record layer, the id -> MBR table, and the
   /// decomposed sorted tables. A full rebuild — previously built or
   /// inserted entries are discarded first (contract: api/spatial_index.h).
-  /// `num_threads` 0 = one per hardware core (small inputs fall back to
-  /// one), 1 = the sequential path; both layers share one pool, tiles are
-  /// owned by exactly one worker, and ties in a table sort by (value, id),
-  /// so the built index is identical for every thread count. Throws
+  /// `num_threads` 0 = one per hardware core (one for small inputs),
+  /// otherwise taken literally; every count runs the same code, tiles are
+  /// owned by exactly one part, every table is reserved to its exact size,
+  /// and ties in a table sort by (value, id), so the built index —
+  /// SizeBytes() included — is identical for every thread count. Throws
   /// std::logic_error on a frozen (mapped-snapshot) index.
   void Build(const std::vector<BoxEntry>& entries,
              std::size_t num_threads = 0);

@@ -2,10 +2,12 @@
 #define TLP_GRID_GRID_SNAPSHOT_UTIL_H_
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "common/status.h"
 #include "geometry/box.h"
@@ -32,6 +34,37 @@ static_assert(sizeof(BoxEntry) == 40 &&
               "changes");
 static_assert(sizeof(Box) == 32 && std::is_trivially_copyable_v<Box>,
               "snapshot kSecMbrs writes raw Box arrays");
+
+/// Writes kSecTileEntries: every tile's entries (`entries_of(tile)` has
+/// data() and size()) in the raw BoxEntry layout, with each record's 4
+/// padding bytes zeroed; written straight from memory they would carry stale
+/// heap bytes, and equal grids would not save to equal files.
+template <typename Tiles, typename EntriesOf>
+void WriteTileEntriesSection(SnapshotWriter* writer, const Tiles& tiles,
+                             EntriesOf&& entries_of) {
+  constexpr std::size_t kBatch = 1024;
+  // Zero-filled once; only the field bytes of a record are ever written.
+  std::vector<unsigned char> staged(kBatch * sizeof(BoxEntry));
+  std::size_t used = 0;
+  writer->BeginSection(kSecTileEntries);
+  for (const auto& tile : tiles) {
+    const auto& entries = entries_of(tile);
+    const BoxEntry* data = entries.data();
+    for (std::size_t k = 0; k < entries.size(); ++k) {
+      unsigned char* record = staged.data() + used * sizeof(BoxEntry);
+      std::memcpy(record + offsetof(BoxEntry, box), &data[k].box,
+                  sizeof(Box));
+      std::memcpy(record + offsetof(BoxEntry, id), &data[k].id,
+                  sizeof(ObjectId));
+      if (++used == kBatch) {
+        writer->Write(staged.data(), staged.size());
+        used = 0;
+      }
+    }
+  }
+  writer->Write(staged.data(), used * sizeof(BoxEntry));
+  writer->EndSection();
+}
 
 inline void WriteLayoutSection(SnapshotWriter* writer,
                                const GridLayout& layout) {

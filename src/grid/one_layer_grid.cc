@@ -37,40 +37,27 @@ void OneLayerGrid::Build(const std::vector<BoxEntry>& entries,
   // space requirements").
   const std::size_t threads =
       build_internal::EffectiveBuildThreads(num_threads, entries.size());
-  if (threads <= 1) {
-    std::vector<std::uint32_t> counts(tiles_.size(), 0);
-    for (const BoxEntry& e : entries) {
-      const TileRange range = layout_.TilesFor(e.box);
-      for (std::uint32_t j = range.j0; j <= range.j1; ++j) {
-        for (std::uint32_t i = range.i0; i <= range.i1; ++i) {
-          ++counts[layout_.TileId(i, j)];
-        }
-      }
-    }
-    for (std::size_t t = 0; t < tiles_.size(); ++t) {
-      tiles_[t].reserve(counts[t]);
-    }
-    for (const BoxEntry& e : entries) Insert(e);
-    RebuildOccupancy();
-    return;
-  }
-
   ThreadPool pool(threads);
-  const std::vector<TileRange> ranges =
-      build_internal::ComputeTileRanges(pool, layout_, entries);
 
-  // Count pass: per-chunk tile histograms, merged per tile below.
+  // Count pass: per-chunk tile histograms, merged per tile below; it also
+  // records each entry's tile range.
+  std::vector<TileRange> ranges(entries.size());
   std::vector<std::vector<std::uint32_t>> chunk_counts(threads);
   ParallelForChunks(
       pool, entries.size(), threads,
       [&](std::size_t c, std::size_t begin, std::size_t end) {
-        auto& counts = chunk_counts[c];
-        counts.assign(tiles_.size(), 0);
+        chunk_counts[c].assign(tiles_.size(), 0);
+        // Locals, not captures: the loop calls out-of-line layout code per
+        // entry, after which captured members would be reloaded.
+        const GridLayout& layout = layout_;
+        const BoxEntry* entry = entries.data();
+        TileRange* range = ranges.data();
+        std::uint32_t* counts = chunk_counts[c].data();
         for (std::size_t k = begin; k < end; ++k) {
-          const TileRange& r = ranges[k];
+          const TileRange r = range[k] = layout.TilesFor(entry[k].box);
           for (std::uint32_t j = r.j0; j <= r.j1; ++j) {
             for (std::uint32_t i = r.i0; i <= r.i1; ++i) {
-              ++counts[layout_.TileId(i, j)];
+              ++counts[layout.TileId(i, j)];
             }
           }
         }
@@ -87,36 +74,18 @@ void OneLayerGrid::Build(const std::vector<BoxEntry>& entries,
     }
   });
 
-  // Place pass: each worker owns a contiguous tile range and scans the full
-  // entry vector, appending only into its own tiles. One writer per tile
-  // means no synchronization, and the input-order scan makes the per-tile
-  // entry order identical to the sequential build's.
-  const std::vector<std::size_t> cuts =
-      build_internal::BalanceTiles(tile_work, threads);
-  for (std::size_t p = 0; p < threads; ++p) {
-    pool.Submit([this, p, &cuts, &ranges, &entries] {
-      const std::size_t lo = cuts[p];
-      const std::size_t hi = cuts[p + 1];
-      if (lo == hi) return;
-      for (std::size_t k = 0; k < entries.size(); ++k) {
-        const TileRange& r = ranges[k];
-        if (layout_.TileId(r.i1, r.j1) < lo ||
-            layout_.TileId(r.i0, r.j0) >= hi) {
-          continue;
-        }
-        for (std::uint32_t j = r.j0; j <= r.j1; ++j) {
-          for (std::uint32_t i = r.i0; i <= r.i1; ++i) {
-            const std::size_t t = layout_.TileId(i, j);
-            if (t < lo || t >= hi) continue;
-            tiles_[t].push_back(entries[k]);
-          }
-        }
-      }
-    });
-  }
-  pool.Wait();
-  // Sequentially: an occupancy word covers 64 tiles and so can straddle the
-  // workers' tile-ownership cuts — setting bits from the workers would race.
+  // Place pass: each part owns a contiguous tile range and appends only
+  // into its own tiles, in input order.
+  build_internal::ForEachTilePart(
+      pool, tile_work, [&](std::size_t lo, std::size_t hi) {
+        std::vector<BoxEntry>* tiles = tiles_.data();  // a local, as above
+        build_internal::ForEachOwnedReplica(
+            layout_, entries, ranges, lo, hi,
+            [&](const BoxEntry& e, std::uint32_t, std::uint32_t,
+                std::size_t t) { tiles[t].push_back(e); });
+      });
+  // After the parts: an occupancy word covers 64 tiles and so can straddle
+  // the parts' tile-ownership cuts — setting bits from the parts would race.
   RebuildOccupancy();
 }
 

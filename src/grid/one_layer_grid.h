@@ -26,9 +26,10 @@ class OneLayerGrid final : public PersistentIndex {
   /// Bulk-loads the grid: each entry is replicated into every tile its MBR
   /// intersects. A full rebuild — any previously built or inserted entries
   /// are discarded first (contract: api/spatial_index.h). `num_threads`
-  /// 0 = one per hardware core (small inputs fall back to one), 1 = the
-  /// sequential path; the resulting grid is identical for every thread
-  /// count (per-tile entry order matches the input order).
+  /// 0 = one per hardware core (one for small inputs), otherwise taken
+  /// literally; every count runs the same two-pass load, and the resulting
+  /// grid is identical for every thread count (per-tile entry order
+  /// matches the input order).
   void Build(const std::vector<BoxEntry>& entries,
              std::size_t num_threads = 0);
 
@@ -69,6 +70,12 @@ class OneLayerGrid final : public PersistentIndex {
   /// Per-tile occupancy bits (set iff the tile holds entries); queries use
   /// it to skip empty tile runs word-wide.
   const OccupancyBitset& occupancy() const { return occupancy_; }
+
+  /// The entries of the tile with id `tile_id`, in storage order; exposed
+  /// for tests.
+  const std::vector<BoxEntry>& TileEntries(std::size_t tile_id) const {
+    return tiles_[tile_id];
+  }
 
   /// Structural check: the occupancy bitset must agree with every tile's
   /// emptiness. O(tiles); for tests and the update oracle.

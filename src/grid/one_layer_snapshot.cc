@@ -19,6 +19,7 @@ using snapshot_internal::ExpectKind;
 using snapshot_internal::ExpectSectionSize;
 using snapshot_internal::ReadLayoutSection;
 using snapshot_internal::WriteLayoutSection;
+using snapshot_internal::WriteTileEntriesSection;
 
 Status OneLayerGrid::Save(const std::string& path, FileSystem* fs) const {
   SnapshotWriter writer;
@@ -37,11 +38,8 @@ Status OneLayerGrid::Save(const std::string& path, FileSystem* fs) const {
   }
   writer.EndSection();
 
-  writer.BeginSection(kSecTileEntries);
-  for (const auto& tile : tiles_) {
-    writer.Write(tile.data(), tile.size() * sizeof(BoxEntry));
-  }
-  writer.EndSection();
+  WriteTileEntriesSection(&writer, tiles_,
+                          [](const auto& tile) -> const auto& { return tile; });
 
   return writer.Finalize(SizeBytes(), entry_count());
 }

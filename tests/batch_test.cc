@@ -68,8 +68,10 @@ TEST_P(BatchThreadsTest, ParallelCountsEqualSequential) {
   EXPECT_EQ(BatchExecutor::RunTilesBased(grid, queries, threads), expected);
 }
 
+// 0 means one worker: the round-robin stride and the tile split are sized
+// by the worker count, never by zero.
 INSTANTIATE_TEST_SUITE_P(Threads, BatchThreadsTest,
-                         ::testing::Values(1, 2, 3, 4, 8));
+                         ::testing::Values(1, 2, 3, 4, 8, 0));
 
 TEST(BatchEdgeTest, EmptyBatch) {
   TwoLayerGrid grid(GridLayout(Box{0, 0, 1, 1}, 4, 4));

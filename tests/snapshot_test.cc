@@ -183,6 +183,73 @@ TEST(SnapshotRoundTrip, SaveWhileFrozenReproducesSnapshot) {
   std::remove(resaved.c_str());
 }
 
+/// Copies `data` into entries whose struct padding (the 4 bytes after `id`)
+/// holds `fill`: each record is memset before its fields are assigned, as
+/// a reused heap buffer would leave it.
+std::vector<BoxEntry> WithDirtyPadding(const std::vector<BoxEntry>& data,
+                                       unsigned char fill) {
+  std::vector<BoxEntry> out(data.size());
+  for (std::size_t k = 0; k < data.size(); ++k) {
+    std::memset(static_cast<void*>(&out[k]), fill, sizeof(BoxEntry));
+    out[k].box = data[k].box;
+    out[k].id = data[k].id;
+  }
+  return out;
+}
+
+/// Builds a `Grid` from `entries` and saves it to `path`.
+template <typename Grid>
+void BuildAndSave(const std::vector<BoxEntry>& entries,
+                  const std::string& path) {
+  Grid grid(SmallLayout());
+  grid.Build(entries);
+  ASSERT_TRUE(grid.Save(path).ok()) << path;
+}
+
+/// Every tile-entry record's padding must be written as zeros, so equal
+/// grids save to identical bytes whatever their inputs' padding held: for
+/// 1-layer, 2-layer and the 2-layer+ record layer.
+TEST(SnapshotRoundTrip, TileEntryPaddingIsZeroAndSavesAreByteIdentical) {
+  const auto data = MakeData(SpatialDistribution::kUniform, 3000);
+  const auto dirty_a = WithDirtyPadding(data, 0xFF);
+  const auto dirty_b = WithDirtyPadding(data, 0xA5);
+  const std::string path_a = TempPath("padding_a.tlps");
+  const std::string path_b = TempPath("padding_b.tlps");
+  for (const std::string kind : {"1-layer", "2-layer", "2-layer+"}) {
+    SCOPED_TRACE(kind);
+    for (const auto& [entries, path] :
+         {std::pair{&dirty_a, path_a}, std::pair{&dirty_b, path_b}}) {
+      if (kind == "1-layer") {
+        BuildAndSave<OneLayerGrid>(*entries, path);
+      } else if (kind == "2-layer") {
+        BuildAndSave<TwoLayerGrid>(*entries, path);
+      } else {
+        BuildAndSave<TwoLayerPlusGrid>(*entries, path);
+      }
+    }
+
+    SnapshotReader reader;
+    ASSERT_TRUE(reader.Open(path_a, SnapshotReader::Mode::kBuffered).ok());
+    SnapshotReader::Span span;
+    ASSERT_TRUE(reader.Find(kSecTileEntries, &span).ok());
+    ASSERT_GT(span.size, 0u);
+    ASSERT_EQ(span.size % sizeof(BoxEntry), 0u);
+    constexpr std::size_t kPadding = sizeof(Box) + sizeof(ObjectId);
+    static_assert(kPadding + 4 == sizeof(BoxEntry));
+    std::size_t dirty_bytes = 0;
+    for (std::size_t rec = 0; rec < span.size; rec += sizeof(BoxEntry)) {
+      for (std::size_t b = kPadding; b < sizeof(BoxEntry); ++b) {
+        dirty_bytes += span.data[rec + b] != 0;
+      }
+    }
+    EXPECT_EQ(dirty_bytes, 0u) << "nonzero padding bytes in kSecTileEntries";
+    EXPECT_TRUE(ReadFile(path_a) == ReadFile(path_b))
+        << "equal grids saved to different bytes";
+    std::remove(path_a.c_str());
+    std::remove(path_b.c_str());
+  }
+}
+
 TEST(SnapshotFrozen, UpdatesThrowUntilThaw) {
   const auto data = MakeData(SpatialDistribution::kUniform, 1000);
   TwoLayerPlusGrid original(SmallLayout());

@@ -9,8 +9,12 @@ runs of such a file benchmark by benchmark:
         --base scalar-baseline --new simd-avx2
 
 Speedup is new_items_per_second / base_items_per_second (falling back to
-base_real_time / new_real_time when a benchmark reports no items). Exit
-status is 0 normally; with --min-speedup X it is 1 unless at least one
+base_real_time / new_real_time when a benchmark reports no items). A label
+may name several runs (record the same label repeatedly): each benchmark is
+then compared on its median over those runs, and a `base_spread` column
+gives the base runs' (max - min) / median for that benchmark, so one noisy
+run cannot pass or fail a gate on its own. Single-run output is unchanged.
+Exit status is 0 normally; with --min-speedup X it is 1 unless at least one
 compared benchmark reaches X (use --geomean-floor to gate on the geometric
 mean instead, e.g. for a CI smoke check against a committed baseline).
 Usage and input errors — a missing or unreadable trajectory file, a file
@@ -45,17 +49,53 @@ def load_runs(path):
     return doc.get("bench_id", "?"), runs
 
 
-def pick_run(runs, label, fallback_index):
+def pick_runs(runs, label, fallback_index):
+    """All runs carrying `label`, or the single run at `fallback_index`."""
     if label is None:
         if not -len(runs) <= fallback_index < len(runs):
             die(f"need at least two runs to compare (found {len(runs)}); "
                 "record another run or pass --base/--new explicitly")
-        return runs[fallback_index]
+        return [runs[fallback_index]]
+    picked = [run for run in runs if run.get("label") == label]
+    if not picked:
+        labels = ", ".join(repr(r.get("label")) for r in runs)
+        die(f"no run labeled {label!r} (have: {labels})")
+    return picked
+
+
+def median(values):
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
+def by_name(runs):
+    """Benchmark name -> its records across `runs`, in run order."""
+    records = {}
     for run in runs:
-        if run.get("label") == label:
-            return run
-    labels = ", ".join(repr(r.get("label")) for r in runs)
-    die(f"no run labeled {label!r} (have: {labels})")
+        for b in run.get("benchmarks", []):
+            records.setdefault(b["name"], []).append(b)
+    return records
+
+
+def summarize(records):
+    """One record of per-field medians over a benchmark's repeated records
+    (the record itself when there is only one)."""
+    if len(records) == 1:
+        return records[0]
+    return {field: median([r.get(field, 0) for r in records])
+            for field in ("items_per_second", "real_time_us")}
+
+
+def spread(records):
+    """(max - min) / median over `records` of the compared figure: items
+    per second where reported, else real time."""
+    values = [r.get("items_per_second", 0) or r.get("real_time_us", 0)
+              for r in records]
+    mid = median(values)
+    return (max(values) - min(values)) / mid if mid > 0 else 0.0
 
 
 def speedup(base, new):
@@ -86,36 +126,48 @@ def main():
     args = ap.parse_args()
 
     bench_id, runs = load_runs(args.trajectory)
-    base = pick_run(runs, args.base, 0)
-    new = pick_run(runs, args.new_label, -1)
-    if base is new:
+    base_runs = pick_runs(runs, args.base, 0)
+    new_runs = pick_runs(runs, args.new_label, -1)
+    if any(run is other for run in base_runs for other in new_runs):
         die("--base and --new select the same run")
+    repeated = len(base_runs) > 1 or len(new_runs) > 1
 
-    base_by_name = {b["name"]: b for b in base.get("benchmarks", [])}
+    base_by_name = by_name(base_runs)
     rows = []
-    for b in new.get("benchmarks", []):
-        if args.filter and args.filter not in b["name"]:
+    for name, new_records in by_name(new_runs).items():
+        if args.filter and args.filter not in name:
             continue
-        other = base_by_name.get(b["name"])
-        if other is None:
+        base_records = base_by_name.get(name)
+        if base_records is None:
             continue
+        other, b = summarize(base_records), summarize(new_records)
         s = speedup(other, b)
         if s is not None:
-            rows.append((b["name"], other, b, s))
+            rows.append((name, other, b, s, spread(base_records)))
 
     if not rows:
         die("the selected runs share no comparable benchmarks")
 
-    print(f"# {bench_id}: {base.get('label')} ({base.get('backend')}) -> "
-          f"{new.get('label')} ({new.get('backend')})")
-    width = max(len(name) for name, *_ in rows)
-    print(f"{'benchmark':<{width}}  {'base_us':>10}  {'new_us':>10}  "
-          f"{'speedup':>8}")
-    for name, b_rec, n_rec, s in sorted(rows, key=lambda r: -r[3]):
-        print(f"{name:<{width}}  {b_rec.get('real_time_us', 0):>10.2f}  "
-              f"{n_rec.get('real_time_us', 0):>10.2f}  {s:>7.2f}x")
+    def describe(selected):
+        run = selected[0]
+        count = f" x{len(selected)}" if repeated else ""
+        return f"{run.get('label')}{count} ({run.get('backend')})"
 
-    speedups = [s for *_, s in rows]
+    print(f"# {bench_id}: {describe(base_runs)} -> {describe(new_runs)}")
+    if repeated:
+        print("# medians per benchmark; base_spread = (max - min) / median "
+              "of the base runs")
+    width = max(len(name) for name, *_ in rows)
+    extra = f"  {'base_spread':>11}" if repeated else ""
+    print(f"{'benchmark':<{width}}  {'base_us':>10}  {'new_us':>10}  "
+          f"{'speedup':>8}{extra}")
+    for name, b_rec, n_rec, s, base_spread in sorted(rows,
+                                                    key=lambda r: -r[3]):
+        extra = f"  {base_spread:>10.1%}" if repeated else ""
+        print(f"{name:<{width}}  {b_rec.get('real_time_us', 0):>10.2f}  "
+              f"{n_rec.get('real_time_us', 0):>10.2f}  {s:>7.2f}x{extra}")
+
+    speedups = [row[3] for row in rows]
     geomean = math.exp(sum(math.log(s) for s in speedups) / len(speedups))
     best = max(speedups)
     print(f"\n{len(rows)} benchmarks; best {best:.2f}x, "
