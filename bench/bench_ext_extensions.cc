@@ -3,7 +3,7 @@
 //  * Ext/join    — two-layer class-pair spatial join vs the reference-point
 //                  deduplicating join, across grid granularities. The class
 //                  rule skips the duplicate candidate pairs up front.
-//  * Ext/knn     — k-NN via expanding duplicate-free disk queries.
+//  * Ext/knn     — k-NN by the best-first duplicate-free tile walk.
 //  * Ext/ablation/classmask — value of the per-class comparison reduction:
 //                  2-layer window evaluation vs the same grid evaluated with
 //                  the full 4-comparison intersection test per entry
@@ -155,7 +155,8 @@ void RegisterAll() {
 int main(int argc, char** argv) {
   RegisterAll();
   benchmark::Initialize(&argc, argv);
-  tlp::bench::RunBenchmarksWithStats("ext");
+  tlp::bench::AppendBenchTrajectory("ext_extensions",
+                                    tlp::bench::RunBenchmarksWithStats("ext"));
   benchmark::Shutdown();
   return 0;
 }

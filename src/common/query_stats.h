@@ -27,7 +27,8 @@ namespace tlp {
 /// caller observes batch-wide totals regardless of thread count.
 struct QueryStats {
   /// Index-level queries executed (WindowQuery / DiskQuery /
-  /// WindowCandidates / DiskQueryEntries / SkylineQuery calls).
+  /// WindowCandidates / DiskQueryEntries / SkylineQuery / KnnEntries
+  /// calls).
   std::uint64_t queries = 0;
   /// Non-empty tiles whose contents were examined.
   std::uint64_t tiles_visited = 0;
@@ -45,8 +46,10 @@ struct QueryStats {
   std::uint64_t binary_search_probes = 0;
   /// Replica entries whose examination the two-layer scheme skipped
   /// outright (classes B/C/D excluded by Lemmas 1-2, plus §IV-E disk
-  /// row-dedup rejections). A 1-layer grid scans these and then discards
-  /// the duplicates it generated; the two-layer grid never looks at them.
+  /// row-dedup rejections, plus KnnEntries' replicas outside the tile of
+  /// their MBR point nearest q: skipped class segments and single entries
+  /// its emit rule rejects). A 1-layer grid scans these and then discards
+  /// the duplicates it generated; the two-layer grid never reports them.
   std::uint64_t duplicates_avoided = 0;
   /// Duplicate results that *were* generated and then eliminated after the
   /// fact (1-layer reference-point rejections and hash sort-unique drops).

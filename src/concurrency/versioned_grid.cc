@@ -396,20 +396,33 @@ void ConcurrentTwoLayerGrid::Snapshot::DiskQuery(
 
 std::vector<RankedEntry> ConcurrentTwoLayerGrid::Snapshot::KnnEntries(
     const Point& q, std::size_t k, const EntryPredicate& keep) const {
-  // The hide-filter runs inside the base probe, so it returns the exact k
+  // The hide-filter runs inside the base walk, so it returns the exact k
   // nearest *surviving* base entries; delta inserts can only add
   // candidates. The top-k of the union is therefore exact without
-  // over-fetching.
+  // over-fetching, and only overlay entries ranked before the base k-th
+  // (all of them while the base has fewer than k) can take part in it.
   std::vector<RankedEntry> pool =
       tlp::KnnEntries(*base_, q, k, BaseKeep(keep));
-  if (overlay_.empty()) return pool;
+  if (overlay_.empty() || k == 0) return pool;
+  const bool base_full = pool.size() == k;
+  std::vector<RankedEntry> extra;
   for (const auto& [id, oe] : overlay_) {
     if (!oe.present) continue;
-    const BoxEntry e{oe.box, id};
-    if (keep && !keep(e)) continue;
-    pool.push_back(RankedEntry{e, e.box.MinDistanceTo(q)});
+    const RankedEntry cand{BoxEntry{oe.box, id}, oe.box.MinDistanceTo(q)};
+    if (base_full && !RankedBefore(cand, pool.back())) continue;
+    if (!KnnRankable(oe.box, cand.distance)) continue;
+    if (keep && !keep(cand.entry)) continue;
+    extra.push_back(cand);
   }
-  std::sort(pool.begin(), pool.end(), RankedBefore);
+  if (extra.empty()) return pool;
+  std::sort(extra.begin(), extra.end(), RankedBefore);
+  // Ids are unique across the two sides (overridden base ids are hidden),
+  // so RankedBefore is a strict total order and the merge's head is exact.
+  const std::size_t base_size = pool.size();
+  pool.insert(pool.end(), extra.begin(), extra.end());
+  std::inplace_merge(pool.begin(),
+                     pool.begin() + static_cast<std::ptrdiff_t>(base_size),
+                     pool.end(), RankedBefore);
   if (pool.size() > k) pool.resize(k);
   return pool;
 }

@@ -51,9 +51,9 @@ std::vector<RankedEntry> DiversifiedReRank(const std::vector<RankedEntry>& pool,
 /// the stored set, q, and the options. Returns min(k, matching objects)
 /// entries in selection (rank) order, which is NOT distance order.
 ///
-/// Duplicate-free by construction: the pool comes from the §IV-E annulus
-/// probes which report each object exactly once (Lemmas 1-4), and the
-/// greedy pass only reorders that pool.
+/// Duplicate-free by construction: the pool comes from KnnEntries, whose
+/// tile walk reports each object from exactly one tile, and the greedy pass
+/// only reorders that pool.
 std::vector<RankedEntry> DiversifiedKnnQuery(const TwoLayerGrid& grid,
                                              const Point& q,
                                              const DivKnnOptions& opts,

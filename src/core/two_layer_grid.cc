@@ -80,8 +80,8 @@ void TwoLayerGrid::Build(const std::vector<BoxEntry>& entries,
       pool, entries.size(), chunks,
       [&](std::size_t c, std::size_t begin, std::size_t end) {
         chunk_counts[c].assign(n_tiles, {0, 0, 0, 0});
-        // Locals, not captures: the loop calls out-of-line layout code per
-        // replica, after which captured members would be reloaded.
+        // Locals, not captures: the loop's stores through `counts` could
+        // alias captured members, which would then be reloaded per replica.
         const GridLayout& layout = layout_;
         const BoxEntry* entry = entries.data();
         TileRange* range = ranges.data();
@@ -339,16 +339,7 @@ void TwoLayerGrid::WindowCandidates(const Box& w,
 
 template <typename Emit>
 void TwoLayerGrid::ForEachDiskResult(const Point& q, Coord radius,
-                                     Coord min_radius, Emit&& emit) const {
-  // Annulus mode (min_radius >= 0): everything within min_radius was
-  // already reported by a previous probe, so (a) whole tiles inside the
-  // inner disk are skipped — any object overlapping such a tile has
-  // distance <= min_radius — and (b) surviving entries are distance-
-  // filtered against the inner radius. The exactly-once row bookkeeping
-  // below is unaffected: it depends only on the tile set of the OUTER
-  // radius, and an entry suppressed at its row-minimal tile is an entry
-  // the annulus filter would reject at any other tile too.
-  const bool annulus = min_radius >= 0;
+                                     Emit&& emit) const {
   const Box mbr{q.x - radius, q.y - radius, q.x + radius, q.y + radius};
   const TileRange range = layout_.TilesFor(mbr);
 
@@ -419,15 +410,11 @@ void TwoLayerGrid::ForEachDiskResult(const Point& q, Coord radius,
           !has_out_of_domain_ ||
           (i != 0 && i + 1 != layout_.nx() && j != 0 &&
            j + 1 != layout_.ny());
-      if (annulus && tile_bounds_entries &&
-          tile_box.MaxDistanceTo(q) <= min_radius) {
-        return;
-      }
       TLP_STATS_ADD(tiles_visited, 1);
       // Tiles totally covered by the disk skip all distance verification
-      // (§IV-E) — unless the annulus filter needs the distance anyway.
-      const bool covered = !annulus && tile_bounds_entries &&
-                           tile_box.MaxDistanceTo(q) <= radius;
+      // (§IV-E).
+      const bool covered =
+          tile_bounds_entries && tile_box.MaxDistanceTo(q) <= radius;
       const bool west_missing = i == row.lo;
       const bool north_missing =
           prev_row == nullptr || i < prev_row->lo || i > prev_row->hi;
@@ -441,10 +428,7 @@ void TwoLayerGrid::ForEachDiskResult(const Point& q, Coord radius,
         if (!covered) TLP_STATS_ADD(comparisons, n);
         for (std::size_t s = 0; s < n; ++s) {
           const BoxEntry& e = p[s];
-          if (!covered) {
-            const Coord d = e.box.MinDistanceTo(q);
-            if (d > radius || (annulus && d <= min_radius)) continue;
-          }
+          if (!covered && e.box.MinDistanceTo(q) > radius) continue;
           if (dedup_rows && seen_in_earlier_row(e.box, j)) {
             TLP_STATS_ADD(duplicates_avoided, 1);
             continue;
@@ -483,17 +467,16 @@ void TwoLayerGrid::DiskQuery(const Point& q, Coord radius,
                              std::vector<ObjectId>* out) const {
   TLP_STATS_ADD(queries, 1);
   const std::size_t first_result = out->size();
-  ForEachDiskResult(q, radius, /*min_radius=*/-1,
+  ForEachDiskResult(q, radius,
                     [&](const BoxEntry& e) { out->push_back(e.id); });
   TLP_STATS_ADD(candidates, out->size() - first_result);
 }
 
 void TwoLayerGrid::DiskQueryEntries(const Point& q, Coord radius,
-                                    std::vector<BoxEntry>* out,
-                                    Coord min_radius) const {
+                                    std::vector<BoxEntry>* out) const {
   TLP_STATS_ADD(queries, 1);
   const std::size_t first_result = out->size();
-  ForEachDiskResult(q, radius, min_radius,
+  ForEachDiskResult(q, radius,
                     [&](const BoxEntry& e) { out->push_back(e); });
   TLP_STATS_ADD(candidates, out->size() - first_result);
 }

@@ -67,18 +67,11 @@ class TwoLayerGrid final : public PersistentIndex {
   void DiskQuery(const Point& q, Coord radius,
                  std::vector<ObjectId>* out) const override;
 
-  /// Disk query returning the full (MBR, id) entries instead of bare ids;
-  /// used by consumers that rank candidates by distance (e.g., KnnEntries).
-  /// A non-negative `min_radius` restricts the report to the annulus
-  /// min_radius < MinDistanceTo(q) <= radius: tiles entirely within
-  /// `min_radius` of `q` are skipped and entries at distance <= min_radius
-  /// are filtered out, so an incremental caller that has already evaluated
-  /// the disk of radius `min_radius` (e.g. KnnEntries' radius doubling) sees
-  /// each remaining object exactly once instead of re-receiving the whole
-  /// inner disk.
+  /// Disk query returning the full (MBR, id) entries instead of bare ids,
+  /// for consumers that need the boxes (the live view's hide and WHERE
+  /// filters).
   void DiskQueryEntries(const Point& q, Coord radius,
-                        std::vector<BoxEntry>* out,
-                        Coord min_radius = -1) const;
+                        std::vector<BoxEntry>* out) const;
 
   /// Evaluates the window `w` on a single tile (i, j), given the full tile
   /// range of `w`. Exposed for the tiles-based batch executor (§VI), which
@@ -207,11 +200,9 @@ class TwoLayerGrid final : public PersistentIndex {
                 bool first_col, bool first_row, Emit&& emit) const;
 
   /// Shared §IV-E disk evaluation core: calls `emit(entry)` exactly once for
-  /// every entry whose MBR lies within `radius` of `q` — restricted, when
-  /// `min_radius` >= 0, to the annulus min_radius < distance <= radius.
+  /// every entry whose MBR lies within `radius` of `q`.
   template <typename Emit>
-  void ForEachDiskResult(const Point& q, Coord radius, Coord min_radius,
-                         Emit&& emit) const;
+  void ForEachDiskResult(const Point& q, Coord radius, Emit&& emit) const;
 
   /// Per-row column ranges of tiles intersecting the disk (§IV-E); rows with
   /// lo > hi do not touch the disk.

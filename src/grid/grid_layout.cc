@@ -21,37 +21,9 @@ GridLayout::GridLayout(const Box& domain, std::uint32_t nx, std::uint32_t ny)
   inv_tile_h_ = ny / domain.height();
 }
 
-std::uint32_t GridLayout::ColumnOf(Coord x) const {
-  const Coord rel = (x - domain_.xl) * inv_tile_w_;
-  // Negated comparison so NaN (x = NaN, or 0 * inf from infinite coordinates
-  // on an infinite-width domain) lands in column 0 deterministically.
-  if (!(rel > 0)) return 0;
-  // Clamp in floating point BEFORE any integer cast: converting a Coord
-  // beyond int64 range (x ~ 1e300 on a unit domain, or +inf) is undefined
-  // behaviour, not a saturating min.
-  if (rel >= static_cast<Coord>(nx_ - 1)) return nx_ - 1;
-  return static_cast<std::uint32_t>(rel);
-}
-
-std::uint32_t GridLayout::RowOf(Coord y) const {
-  const Coord rel = (y - domain_.yl) * inv_tile_h_;
-  if (!(rel > 0)) return 0;
-  if (rel >= static_cast<Coord>(ny_ - 1)) return ny_ - 1;
-  return static_cast<std::uint32_t>(rel);
-}
-
 Box GridLayout::TileBox(std::uint32_t i, std::uint32_t j) const {
   const Point o = TileOrigin(i, j);
   return Box{o.x, o.y, o.x + tile_w_, o.y + tile_h_};
-}
-
-TileRange GridLayout::TilesFor(const Box& b) const {
-  TileRange r;
-  r.i0 = ColumnOf(b.xl);
-  r.i1 = ColumnOf(b.xu);
-  r.j0 = RowOf(b.yl);
-  r.j1 = RowOf(b.yu);
-  return r;
 }
 
 }  // namespace tlp

@@ -49,10 +49,27 @@ class GridLayout {
   Coord tile_width() const { return tile_w_; }
   Coord tile_height() const { return tile_h_; }
 
-  /// Column index of coordinate x, clamped into [0, nx).
-  std::uint32_t ColumnOf(Coord x) const;
+  /// Column index of coordinate x, clamped into [0, nx). Inline, with
+  /// RowOf and TilesFor: build, update and query loops call them per entry.
+  std::uint32_t ColumnOf(Coord x) const {
+    const Coord rel = (x - domain_.xl) * inv_tile_w_;
+    // Negated comparison so NaN (x = NaN, or 0 * inf from infinite
+    // coordinates on an infinite-width domain) lands in column 0
+    // deterministically.
+    if (!(rel > 0)) return 0;
+    // Clamp in floating point BEFORE any integer cast: converting a Coord
+    // beyond int64 range (x ~ 1e300 on a unit domain, or +inf) is undefined
+    // behaviour, not a saturating min.
+    if (rel >= static_cast<Coord>(nx_ - 1)) return nx_ - 1;
+    return static_cast<std::uint32_t>(rel);
+  }
   /// Row index of coordinate y, clamped into [0, ny).
-  std::uint32_t RowOf(Coord y) const;
+  std::uint32_t RowOf(Coord y) const {
+    const Coord rel = (y - domain_.yl) * inv_tile_h_;
+    if (!(rel > 0)) return 0;
+    if (rel >= static_cast<Coord>(ny_ - 1)) return ny_ - 1;
+    return static_cast<std::uint32_t>(rel);
+  }
 
   TileCoord TileOf(const Point& p) const {
     return TileCoord{ColumnOf(p.x), RowOf(p.y)};
@@ -73,7 +90,14 @@ class GridLayout {
   }
 
   /// All tiles whose cells intersect box `b` (clamped to the domain).
-  TileRange TilesFor(const Box& b) const;
+  TileRange TilesFor(const Box& b) const {
+    TileRange r;
+    r.i0 = ColumnOf(b.xl);
+    r.i1 = ColumnOf(b.xu);
+    r.j0 = RowOf(b.yl);
+    r.j1 = RowOf(b.yu);
+    return r;
+  }
 
  private:
   Box domain_;

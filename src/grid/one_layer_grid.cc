@@ -47,8 +47,8 @@ void OneLayerGrid::Build(const std::vector<BoxEntry>& entries,
       pool, entries.size(), threads,
       [&](std::size_t c, std::size_t begin, std::size_t end) {
         chunk_counts[c].assign(tiles_.size(), 0);
-        // Locals, not captures: the loop calls out-of-line layout code per
-        // entry, after which captured members would be reloaded.
+        // Locals, not captures: the loop's stores through `counts` could
+        // alias captured members, which would then be reloaded per entry.
         const GridLayout& layout = layout_;
         const BoxEntry* entry = entries.data();
         TileRange* range = ranges.data();

@@ -309,6 +309,93 @@ TEST(ConcurrentGridTest, OverlayExactnessAcrossInterleavedUpdates) {
   EXPECT_FALSE(live.Delete(static_cast<ObjectId>(999999), kUnit));
 }
 
+/// The live kNN over a nearly full delta window (just under the default
+/// merge threshold, so no merge runs): inserts, deletes and re-inserts all
+/// land near the query point, where the overlay decides the answer. KNN
+/// and DIVKNN are checked against brute force over the live set; the
+/// DIVKNN oracle re-ranks the brute-force pool with DiversifiedReRank,
+/// which diversified_knn_test checks against a full brute force.
+TEST(ConcurrentGridTest, KnnMatchesBruteForceOverNearlyFullDeltaWindow) {
+  const auto base_data = testing::RandomEntries(3000, 0.03, 77);
+  TwoLayerGrid base(Layout());
+  base.Build(base_data);
+  ConcurrentTwoLayerGrid live(std::move(base));  // merge_threshold 1024
+
+  const Point q{0.42, 0.57};
+  std::unordered_map<ObjectId, Box> live_boxes;
+  for (const BoxEntry& e : base_data) live_boxes.emplace(e.id, e.box);
+  std::vector<ObjectId> deleted;
+  Rng rng(78);
+  auto near_q = [&] {
+    const double x = q.x + (rng.NextDouble() - 0.5) * 0.2;
+    const double y = q.y + (rng.NextDouble() - 0.5) * 0.2;
+    return Box{x, y, x + rng.NextDouble() * 0.01, y + rng.NextDouble() * 0.01};
+  };
+  ObjectId next_id = 90000;
+  for (int op = 0; op < 1000; ++op) {
+    const double dice = rng.NextDouble();
+    if (dice < 0.35) {
+      const BoxEntry e{near_q(), next_id++};
+      ASSERT_TRUE(live.Insert(e));
+      live_boxes.emplace(e.id, e.box);
+    } else if (dice < 0.55 && !deleted.empty()) {
+      const BoxEntry e{near_q(), deleted.back()};
+      deleted.pop_back();
+      ASSERT_TRUE(live.Insert(e));
+      live_boxes.emplace(e.id, e.box);
+    } else {
+      // Delete the live object nearest a random point near q.
+      const Box probe = near_q();
+      const Point p{probe.xl, probe.yl};
+      auto victim = live_boxes.end();
+      for (auto it = live_boxes.begin(); it != live_boxes.end(); ++it) {
+        if (victim == live_boxes.end() ||
+            it->second.MinDistanceTo(p) < victim->second.MinDistanceTo(p)) {
+          victim = it;
+        }
+      }
+      ASSERT_TRUE(live.Delete(victim->first, victim->second));
+      deleted.push_back(victim->first);
+      live_boxes.erase(victim);
+    }
+  }
+  const ConcurrentTwoLayerGrid::Snapshot snap = live.Acquire();
+  // All 1000 ops are pending (re-inserts reuse ids, so fewer distinct ids).
+  ASSERT_EQ(live.merges_completed(), 0u);
+  ASSERT_EQ(snap.seq(), 1000u);
+  ASSERT_GT(snap.overlay_size(), 400u);
+
+  std::vector<BoxEntry> alive;
+  for (const auto& [id, box] : live_boxes) alive.push_back(BoxEntry{box, id});
+  auto brute_force = [&](const Point& p, std::size_t k,
+                         const EntryPredicate& keep) {
+    std::vector<RankedEntry> all;
+    for (const BoxEntry& e : alive) {
+      if (!keep || keep(e)) all.push_back({e, e.box.MinDistanceTo(p)});
+    }
+    std::sort(all.begin(), all.end(), RankedBefore);
+    if (all.size() > k) all.resize(k);
+    return all;
+  };
+  const EntryPredicate odd = [](const BoxEntry& e) { return e.id % 2 == 1; };
+  for (const Point& p : {q, Point{0.45, 0.6}, Point{0.9, 0.1}}) {
+    for (const EntryPredicate& keep : {EntryPredicate{}, odd}) {
+      for (const std::size_t k : {1u, 10u, 64u, 700u, 5000u}) {
+        EXPECT_EQ(snap.KnnEntries(p, k, keep), brute_force(p, k, keep))
+            << "knn k=" << k;
+      }
+      DivKnnOptions opts;
+      opts.k = 8;
+      opts.lambda = 0.6;
+      EXPECT_EQ(snap.DiversifiedKnnQuery(p, opts, keep),
+                DiversifiedReRank(brute_force(p, ResolvedDivKnnFetch(opts),
+                                              keep),
+                                  opts.k, opts.lambda))
+          << "divknn";
+    }
+  }
+}
+
 TEST(ConcurrentGridTest, SkylineMatchesBruteForceAcrossMerges) {
   // The live skyline runs on the published base, whose class-A extents a
   // merge copies from the previous base and then widens by Insert (and

@@ -606,6 +606,27 @@ TEST(EvaluatorTest, LiveAndReadOnlyRepliesAgreeAcrossUpdates) {
   EXPECT_TRUE(live.Acquire().base().CheckInvariants());
 }
 
+/// k and FETCH up to the evaluator's 2^32 ceiling size nothing by k: the
+/// kNN heap grows with what it holds, so these return every object
+/// (respectively three rows) instead of reserving 2^32 entries.
+TEST(EvaluatorTest, HugeKAndFetchReturnWhatExists) {
+  const auto data = testing::RandomEntries(1200, 0.03, 998);
+  TwoLayerGrid grid(GridLayout(Box{0, 0, 1, 1}, 16, 16));
+  grid.Build(data);
+  const std::pair<const char*, std::size_t> cases[] = {
+      {"SELECT KNN 0.5 0.5 4294967296", data.size()},
+      {"SELECT DIVKNN 0.5 0.5 3 FETCH 4294967296", 3},
+  };
+  for (const auto& [text, rows] : cases) {
+    Query q;
+    ParseError perr;
+    ASSERT_TRUE(ParseQuery(text, &q, &perr)) << text;
+    EvalResult result;
+    ASSERT_TRUE(EvaluateQuery(grid, q, &result).ok()) << text;
+    EXPECT_EQ(result.rows.size(), rows) << text;
+  }
+}
+
 // --- live (mutable) server ---------------------------------------------------
 
 TEST(LiveServerTest, InsertDeleteRoundTripAndVisibility) {
